@@ -41,6 +41,11 @@ class PlacementMap:
     def is_broadcast(self, video_id: int, q_index: int) -> bool:
         return self.broadcast.get((video_id, q_index), False)
 
+    def is_served(self, video_id: int, q_index: int) -> bool:
+        """Whether the item is cached or broadcast, i.e. never needs a dedicated stream."""
+        key = (video_id, q_index)
+        return self.cached.get(key, False) or self.broadcast.get(key, False)
+
 
 @dataclass(frozen=True)
 class CapacityReport:
@@ -64,6 +69,11 @@ def weighted_items(videos: list[VideoSpec] | tuple[VideoSpec, ...]):
     for v in videos:
         for q in v.qualities:
             yield v, q, v.popularity * q.request_prob
+
+
+def _by_weight(items) -> list:
+    """Items in descending weight, ties broken by video id then quality index."""
+    return sorted(items, key=lambda t: (-t[2], t[0].id, t[1].q_index))
 
 
 def erlang_b(offered_load: float, servers: int) -> float:
@@ -97,13 +107,9 @@ def place_cache(
     """
     if cache_capacity_bits < 0:
         raise ValueError("cache_capacity_bits must be non-negative")
-    order = sorted(
-        weighted_items(videos),
-        key=lambda t: (-t[2], t[0].id, t[1].q_index),
-    )
     placement = PlacementMap()
     remaining = float(cache_capacity_bits)
-    for v, q, _w in order:
+    for v, q, _w in _by_weight(weighted_items(videos)):
         placement.cached[(v.id, q.q_index)] = False
         placement.broadcast[(v.id, q.q_index)] = False
         if q.size_bits <= remaining:
@@ -115,6 +121,41 @@ def place_cache(
 def hit_ratio(videos, placement: PlacementMap) -> float:
     """Probability that an arriving request finds its first segment cached."""
     return sum(w for v, q, w in weighted_items(videos) if placement.is_cached(v.id, q.q_index))
+
+
+# Loss-model figures of a report that opens no dedicated stream.
+_NO_TRAFFIC = (0.0, 0.0, 0, 0.0)
+
+
+def _residual_traffic(videos, served, lambda_per_sec: float, bandwidth_bits: float,
+                      mean_service_minutes: float, reserved_bits: float = 0.0):
+    """Served weight, and the loss model of the requests nothing else serves.
+
+    ``served(video_id, q_index)`` says whether a request for that item is
+    absorbed before it reaches the dedicated link, whose capacity is
+    ``bandwidth_bits`` less ``reserved_bits``. Returns ``(served_weight,
+    (lambda_rest, avg_rate, streams, load))``, or ``(served_weight, None)``
+    when no request reaches the link.
+    """
+    if lambda_per_sec < 0:
+        raise ValueError("lambda_per_sec must be non-negative")
+    if bandwidth_bits <= 0:
+        raise ValueError("bandwidth_bits must be positive")
+    if mean_service_minutes <= 0:
+        raise ValueError("mean_service_minutes must be positive")
+
+    served_weight = sum(w for v, q, w in weighted_items(videos) if served(v.id, q.q_index))
+    lam = lambda_per_sec * (1.0 - served_weight)
+    rest_weight_rate = sum(
+        w * q.stream_rate_bps for v, q, w in weighted_items(videos) if not served(v.id, q.q_index)
+    )
+    if lam <= 0.0 or rest_weight_rate <= 0.0:
+        return served_weight, None
+    # lambda/lambda_miss times the weighted miss rate, i.e. the mean rate
+    # of the streams that actually reach the dedicated link.
+    avg_rate = (lambda_per_sec / lam) * rest_weight_rate
+    n_streams = int(math.floor((bandwidth_bits - reserved_bits) / avg_rate + _FLOOR_EPS))
+    return served_weight, (lam, avg_rate, n_streams, lam * mean_service_minutes * 60.0)
 
 
 def dedicated_stream_analysis(
@@ -135,42 +176,11 @@ def dedicated_stream_analysis(
     When everything is cached no dedicated stream is ever opened; the
     report degenerates to zeros by convention.
     """
-    if lambda_per_sec < 0:
-        raise ValueError("lambda_per_sec must be non-negative")
-    if bandwidth_bits <= 0:
-        raise ValueError("bandwidth_bits must be positive")
-    if mean_service_minutes <= 0:
-        raise ValueError("mean_service_minutes must be positive")
-
-    hit = hit_ratio(videos, placement)
-    lam_ded = lambda_per_sec * (1.0 - hit)
-    miss_weight_rate = sum(
-        w * q.stream_rate_bps
-        for v, q, w in weighted_items(videos)
-        if not placement.is_cached(v.id, q.q_index)
+    hit, loss = _residual_traffic(
+        videos, placement.is_cached, lambda_per_sec, bandwidth_bits, mean_service_minutes
     )
-    if lam_ded <= 0.0 or miss_weight_rate <= 0.0:
-        return CapacityReport(
-            hit_ratio=hit,
-            lambda_dedicated=0.0,
-            avg_stream_rate=0.0,
-            supported_streams=0,
-            blocking_prob=0.0,
-            overall_blocking=0.0,
-            broadcast_bandwidth=0.0,
-            lambda_broadcast=0.0,
-            avg_broadcast_rate=0.0,
-            dedicated_capacity=0,
-            mean_service_minutes=mean_service_minutes,
-        )
-
-    # lambda/lambda_miss times the weighted miss rate, i.e. the mean rate
-    # of the streams that actually reach the dedicated link.
-    avg_rate = (lambda_per_sec / lam_ded) * miss_weight_rate
-    n_streams = int(math.floor(bandwidth_bits / avg_rate + _FLOOR_EPS))
-    load = lam_ded * mean_service_minutes * 60.0
-    p_block = erlang_b(load, n_streams)
-    overall = lam_ded * p_block / lambda_per_sec if lambda_per_sec > 0 else 0.0
+    lam_ded, avg_rate, n_streams, load = loss or _NO_TRAFFIC
+    p_block = erlang_b(load, n_streams) if loss else 0.0
     # Without a broadcast reservation the broadcast-era stream is just the
     # dedicated stream, so mirror those fields across.
     return CapacityReport(
@@ -179,7 +189,7 @@ def dedicated_stream_analysis(
         avg_stream_rate=avg_rate,
         supported_streams=n_streams,
         blocking_prob=p_block,
-        overall_blocking=overall,
+        overall_blocking=lam_ded * p_block / lambda_per_sec if loss else 0.0,
         broadcast_bandwidth=0.0,
         lambda_broadcast=lam_ded,
         avg_broadcast_rate=avg_rate,
@@ -219,12 +229,9 @@ def select_broadcast_videos(
         broadcast={k: False for k in placement.cached},
         lps_channels=lps_channels,
     )
-    order = sorted(
-        (t for t in weighted_items(videos) if not out.is_cached(t[0].id, t[1].q_index)),
-        key=lambda t: (-t[2], t[0].id, t[1].q_index),
-    )
+    uncached = (t for t in weighted_items(videos) if not out.is_cached(t[0].id, t[1].q_index))
     spent = 0.0
-    for v, q, _w in order:
+    for v, q, _w in _by_weight(uncached):
         cost = q.stream_rate_bps * lps_channels
         if spent + cost <= reserved_broadcast_bits + 1e-6:
             out.broadcast[(v.id, q.q_index)] = True
@@ -245,53 +252,27 @@ def broadcast_analysis(
     broadcast-flagged items ride the reserved slice, so only the remainder
     opens dedicated streams on what is left of the link.
     """
-    base = dedicated_stream_analysis(
-        videos, placement, lambda_per_sec, bandwidth_bits, mean_service_minutes
+    hit, dedicated = _residual_traffic(
+        videos, placement.is_cached, lambda_per_sec, bandwidth_bits, mean_service_minutes
     )
+    lam_ded, avg_ded, n_ded, _load = dedicated or _NO_TRAFFIC
     b_broad = broadcast_reserved_bits(videos, placement)
     if b_broad > bandwidth_bits:
         raise ValueError("broadcast reservation exceeds the link bandwidth")
 
-    served_weight = sum(
-        w
-        for v, q, w in weighted_items(videos)
-        if placement.is_cached(v.id, q.q_index)
-        or placement.is_broadcast(v.id, q.q_index)
+    _served, rest = _residual_traffic(
+        videos, placement.is_served, lambda_per_sec, bandwidth_bits, mean_service_minutes,
+        reserved_bits=b_broad,
     )
-    lam_broad = lambda_per_sec * (1.0 - served_weight)
-    rest_weight_rate = sum(
-        w * q.stream_rate_bps
-        for v, q, w in weighted_items(videos)
-        if not placement.is_cached(v.id, q.q_index)
-        and not placement.is_broadcast(v.id, q.q_index)
-    )
-    if lam_broad <= 0.0 or rest_weight_rate <= 0.0:
-        return CapacityReport(
-            hit_ratio=base.hit_ratio,
-            lambda_dedicated=base.lambda_dedicated,
-            avg_stream_rate=base.avg_stream_rate,
-            supported_streams=base.supported_streams,
-            blocking_prob=0.0,
-            overall_blocking=0.0,
-            broadcast_bandwidth=b_broad,
-            lambda_broadcast=0.0,
-            avg_broadcast_rate=0.0,
-            dedicated_capacity=0,
-            mean_service_minutes=mean_service_minutes,
-        )
-
-    avg_rate = (lambda_per_sec / lam_broad) * rest_weight_rate
-    n_streams = int(math.floor((bandwidth_bits - b_broad) / avg_rate + _FLOOR_EPS))
-    load = lam_broad * mean_service_minutes * 60.0
-    p_block = erlang_b(load, n_streams)
-    overall = lam_broad * p_block / lambda_per_sec if lambda_per_sec > 0 else 0.0
+    lam_broad, avg_rate, n_streams, load = rest or _NO_TRAFFIC
+    p_block = erlang_b(load, n_streams) if rest else 0.0
     return CapacityReport(
-        hit_ratio=base.hit_ratio,
-        lambda_dedicated=base.lambda_dedicated,
-        avg_stream_rate=base.avg_stream_rate,
-        supported_streams=base.supported_streams,
+        hit_ratio=hit,
+        lambda_dedicated=lam_ded,
+        avg_stream_rate=avg_ded,
+        supported_streams=n_ded,
         blocking_prob=p_block,
-        overall_blocking=overall,
+        overall_blocking=lam_broad * p_block / lambda_per_sec if rest else 0.0,
         broadcast_bandwidth=b_broad,
         lambda_broadcast=lam_broad,
         avg_broadcast_rate=avg_rate,

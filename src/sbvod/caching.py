@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import balancer as _balancer
-from .sb_scheduler import BroadcastPlan, next_first_segment_start
+from .sb_scheduler import BroadcastPlan, classify_arrival
 
 
 class SchemeId(Enum):
@@ -67,19 +67,6 @@ class UnknownVideoError(ValueError):
 # subset of holders is what separates it from caching at everyone: the
 # two-hop relay claws back most of the lost coverage but not all of it.
 DSC_CACHE_PROB = 0.35
-
-# Probe hops burned before giving up and falling back to the next slot.
-# Direct-search schemes spend one round; the relay scheme also probes a
-# forwarding neighbor.
-_FAIL_PROBE_HOPS = {
-    SchemeId.NO_CACHE: 0,
-    SchemeId.ALL_CACHE: 1,
-    SchemeId.RANDOM_CACHE: 1,
-    SchemeId.DSC_CACHE: 2,
-    SchemeId.POR_CACHE: 1,
-    SchemeId.PROXY_CACHE: 1,
-}
-
 
 @dataclass(frozen=True)
 class AcquisitionOutcome:
@@ -236,7 +223,10 @@ def _find_relay(world: WorldView, client, video_id: int):
 
 
 def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) -> AcquisitionOutcome:
-    hops = _FAIL_PROBE_HOPS[scheme] if failed else 0
+    # Probe hops burned before giving up and falling back to the next slot.
+    # Direct-search schemes spend one round; the relay scheme also probes a
+    # forwarding neighbor. No-cache never probes, so it never fails.
+    hops = (2 if scheme is SchemeId.DSC_CACHE else 1) if failed else 0
     return AcquisitionOutcome(
         source_kind=SourceKind.CHANNEL_SLOT,
         startup_delay_ms=wait_ms + hops * latency,
@@ -259,12 +249,12 @@ def acquire_first_segment(
     plan = world.plans.get(video_id)
     if plan is None:
         raise UnknownVideoError(f"no broadcast plan for video {video_id}")
-    _channel, wait_ms = next_first_segment_start(plan, world.now_ms)
-    if wait_ms == 0:
+    arrival = classify_arrival(plan, world.now_ms)
+    if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")
+    wait_ms = arrival.wait_ms
     latency = world.msg_latency_ms
-    missed_ms = (world.now_ms - plan.epoch_ms) % plan.segment_duration_ms
-    fetch_ms = fetch_duration_ms(world, missed_ms)
+    fetch_ms = fetch_duration_ms(world, arrival.missed_ms)
 
     if scheme is SchemeId.NO_CACHE:
         return _slot_outcome(scheme, wait_ms, latency, failed=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import analytic
-from .caching import SchemeId, normalize_scheme
+from .caching import SchemeId, SourceKind, normalize_scheme
 from .domain import (
     BITS_PER_MEGABIT,
     ConfigError,
@@ -33,6 +33,9 @@ EXPERIMENT_NAMES = ("delay_vs_arrival", "delay_vs_length", "failure_vs_arrival",
 _DEFAULT_ARRIVAL_SWEEP = (2.0, 4.0, 6.0, 8.0, 10.0)
 _DEFAULT_LENGTH_SWEEP = (30.0, 60.0, 90.0)
 
+# One CSV column per acquisition outcome, in the engine's histogram order.
+_OUTCOME_KINDS = tuple(k.value for k in SourceKind)
+
 CSV_COLUMNS = (
     "experiment",
     "scheme",
@@ -46,11 +49,7 @@ CSV_COLUMNS = (
     "failure_prob",
     "attempts",
     "failures",
-    "outcome_channel_slot",
-    "outcome_neighbor",
-    "outcome_relay",
-    "outcome_por",
-    "outcome_lps",
+    *(f"outcome_{k}" for k in _OUTCOME_KINDS),
     "lps_requests",
 )
 
@@ -88,9 +87,15 @@ def _fmt_lps(requests: dict[int, int]) -> str:
     return ";".join(f"{k}:{requests[k]}" for k in sorted(requests))
 
 
-def _run_row(spec: ExperimentSpec, cfg: SimConfig, rep: int, report: MetricsReport) -> str:
+def _write_csv(path: str, rows: list[str]) -> Path:
+    out = Path(path)
+    out.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n", encoding="utf-8")
+    return out
+
+
+def _run_row(name: str, cfg: SimConfig, rep: int, report: MetricsReport) -> str:
     cells = (
-        spec.name,
+        name,
         report.scheme,
         f"{cfg.arrival_rate_per_min:g}",
         f"{cfg.video_length_minutes:g}",
@@ -102,11 +107,7 @@ def _run_row(spec: ExperimentSpec, cfg: SimConfig, rep: int, report: MetricsRepo
         _fmt(report.failure_probability),
         str(report.attempts),
         str(report.failures),
-        str(report.outcome_counts["channel_slot"]),
-        str(report.outcome_counts["neighbor"]),
-        str(report.outcome_counts["relay"]),
-        str(report.outcome_counts["por"]),
-        str(report.outcome_counts["lps"]),
+        *(str(report.outcome_counts[k]) for k in _OUTCOME_KINDS),
         _fmt_lps(report.lps_requests),
     )
     return ",".join(cells)
@@ -135,11 +136,7 @@ def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport])
         col([r.failure_probability for r in reports]),
         col([float(r.attempts) for r in reports]),
         col([float(r.failures) for r in reports]),
-        col([float(r.outcome_counts["channel_slot"]) for r in reports]),
-        col([float(r.outcome_counts["neighbor"]) for r in reports]),
-        col([float(r.outcome_counts["relay"]) for r in reports]),
-        col([float(r.outcome_counts["por"]) for r in reports]),
-        col([float(r.outcome_counts["lps"]) for r in reports]),
+        *(col([float(r.outcome_counts[k]) for r in reports]) for k in _OUTCOME_KINDS),
         "",
     )
     return ",".join(cells)
@@ -159,7 +156,7 @@ def run_experiment(spec: ExperimentSpec) -> Path:
     is independent yet exactly reproducible, and rows appear in fixed
     (scheme, value, replication) order no matter how the work is done.
     """
-    lines = [",".join(CSV_COLUMNS)]
+    lines = []
     for scheme in spec.schemes:
         for value in spec.values:
             cfg_v = _cfg_for_value(spec, value)
@@ -169,11 +166,9 @@ def run_experiment(spec: ExperimentSpec) -> Path:
                 cfg = replace(cfg_v, seed=seed)
                 report = run_simulation(cfg, scheme)
                 reports.append(report)
-                lines.append(_run_row(spec, cfg, rep, report))
+                lines.append(_run_row(spec.name, cfg, rep, report))
             lines.append(_agg_row(spec, cfg_v, reports))
-    out = Path(spec.out_path)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return out
+    return _write_csv(spec.out_path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +257,7 @@ def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
         if ns.sweep is None or ns.sweep_var is None:
             raise ConfigError("custom experiments need --sweep and --sweep-var")
         sweep_var = "arrival_rate_per_min" if ns.sweep_var == "arrival" else "video_length_minutes"
-        values = ns.sweep
-    if ns.sweep is not None and ns.name != "custom":
+    if ns.sweep is not None:
         values = ns.sweep
     return ExperimentSpec(
         name=ns.name,
@@ -301,23 +295,11 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     if len(ns.scheme) != 1:
         raise ConfigError("simulate takes exactly one --scheme")
     cfg = _load_base_config(ns.config, ns.seed)
-    scheme = ns.scheme[0]
     trace = sys.stderr if ns.trace else None
-    report = run_simulation(cfg, scheme, trace=trace)
+    report = run_simulation(cfg, ns.scheme[0], trace=trace)
     _print_aligned(_report_pairs(report))
     if ns.out:
-        spec = ExperimentSpec(
-            name="custom",
-            schemes=(scheme,),
-            sweep_var="arrival_rate_per_min",
-            values=(cfg.arrival_rate_per_min,),
-            replications=1,
-            base=cfg,
-            out_path=ns.out,
-        )
-        header = ",".join(CSV_COLUMNS)
-        row = _run_row(spec, cfg, 0, report)
-        Path(ns.out).write_text(header + "\n" + row + "\n", encoding="utf-8")
+        _write_csv(ns.out, [_run_row("custom", cfg, 0, report)])
     return 0
 
 
@@ -376,14 +358,9 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     ns = parse_args(argv)
+    commands = {"simulate": _cmd_simulate, "experiment": _cmd_experiment, "analyze": _cmd_analyze}
     try:
-        if ns.command == "simulate":
-            return _cmd_simulate(ns)
-        if ns.command == "experiment":
-            return _cmd_experiment(ns)
-        if ns.command == "analyze":
-            return _cmd_analyze(ns)
-        raise ConfigError(f"unknown command {ns.command!r}")
+        return commands[ns.command](ns)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"sbvod: {exc}", file=sys.stderr)
         return 2

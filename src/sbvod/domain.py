@@ -8,6 +8,7 @@ a component starts working with them.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
 
@@ -120,11 +121,15 @@ class SimConfig:
 def validate_config(cfg: SimConfig) -> list[str]:
     """Return a list of violation messages; an empty list means the config is sound.
 
-    Anything accepted here must run cleanly downstream, so this also covers
-    the segment-divisibility rule and the channel bandwidth budget
-    (consumption rate x channels x videos must fit inside the link).
+    Anything accepted here must run cleanly downstream, so this also rejects
+    NaN and infinite values and covers the segment-divisibility rule and
+    the channel bandwidth budget (consumption rate x channels x videos must
+    fit inside the link).
     """
     out: list[str] = []
+    for name, value in vars(cfg).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            out.append(f"{name} must be finite")
     if cfg.bandwidth_mbps <= 0:
         out.append("bandwidth_mbps must be positive")
     if cfg.channels < 1:
@@ -208,10 +213,6 @@ def load_config(path: str | Path) -> SimConfig:
 # Seeded randomness
 # ---------------------------------------------------------------------------
 
-#: Name of the bit generator behind every stream this package draws from.
-GENERATOR_NAME = "PCG64"
-
-
 def derive_seed(base_seed: int, *labels: object) -> int:
     """Mix a base seed and a label path into a stable 64-bit child seed.
 
@@ -242,7 +243,7 @@ class RandomSource:
         return np.random.Generator(np.random.PCG64(derive_seed(self.seed, *labels)))
 
     def __repr__(self):
-        return f"RandomSource(seed={self.seed}, generator={GENERATOR_NAME})"
+        return f"RandomSource(seed={self.seed}, generator=PCG64)"
 
 
 def catalog_from_config(cfg: SimConfig) -> tuple[VideoSpec, ...]:

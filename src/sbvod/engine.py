@@ -17,9 +17,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
+from typing import Callable, TextIO
 
 from . import balancer, caching
 from .caching import (
@@ -37,7 +37,7 @@ from .domain import (
     catalog_from_config,
     validate_config,
 )
-from .sb_scheduler import BroadcastPlan, BeforeStartError, build_plan
+from .sb_scheduler import BroadcastPlan, build_plan, classify_arrival
 
 
 class SimulationError(RuntimeError):
@@ -49,27 +49,6 @@ class ClientState(Enum):
     AWAITING_SLOT = "awaiting_slot"
     FETCHING_FIRST = "fetching_first"
     PLAYING = "playing"
-    DONE = "done"
-
-
-class EventKind(Enum):
-    ARRIVAL = "arrival"
-    SLOT_START = "slot_start"
-    FETCH_COMPLETE = "fetch_complete"
-    QUEUE_GRANT = "queue_grant"
-    PLAYBACK_END = "playback_end"
-    DEPARTURE = "departure"
-
-
-@dataclass
-class Event:
-    time_ms: int
-    seq: int
-    kind: EventKind
-    client_id: int = -1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ms, self.seq) < (other.time_ms, other.seq)
 
 
 @dataclass
@@ -81,9 +60,7 @@ class ClientRecord:
     position: tuple[float, float]
     video_id: int
     state: ClientState = ClientState.REQUESTING
-    assigned_channel: int | None = None
     missed_ms: int = 0
-    startup_delay_ms: int | None = None
     playback_start_ms: int | None = None
     initial_buffer_fill_bits: float = 0.0
     prefetch_buffer_fill_bits: float = 0.0
@@ -91,18 +68,8 @@ class ClientRecord:
     uploading: bool = False
     fetch_kind: SourceKind | None = None
     fetch_holder_id: int | None = None
-    fetch_via_id: int | None = None
     fetch_lps_id: int | None = None
     fetch_hold_ms: int = 0
-
-
-@dataclass(frozen=True)
-class ArrivalClass:
-    """Whether an arrival coincides with a segment-1 slot, and on which channel."""
-
-    on_time: bool
-    channel: int
-    missed_ms: int
 
 
 @dataclass(frozen=True)
@@ -163,12 +130,8 @@ class StreamPool:
     def enqueue(self, client_id: int, hold_ms: int) -> None:
         self._pending.append((client_id, hold_ms))
 
-    def pop_pending(self) -> tuple[int, int]:
-        return self._pending.popleft()
-
-    @property
-    def in_service(self) -> int:
-        return len(self._busy)
+    def pop_pending(self) -> int:
+        return self._pending.popleft()[0]
 
 
 class Simulation:
@@ -196,7 +159,8 @@ class Simulation:
 
         self.now = 0
         self._seq = 0
-        self._heap: list[Event] = []
+        # (time_ms, seq, handler, client_id): seq is unique, so handlers are never compared.
+        self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
         self.clients: dict[int, ClientRecord] = {}
         self.index = NeighborIndex(cfg.client_range_m)
         self._next_client_id = 1
@@ -247,13 +211,13 @@ class Simulation:
         theta = 2.0 * math.pi * self._rng_place.random()
         return (r * math.cos(theta), r * math.sin(theta))
 
-    def _schedule(self, time_ms: int, kind: EventKind, client_id: int = -1) -> None:
+    def _schedule(self, time_ms: int, handler: Callable[[int], None], client_id: int = -1) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, Event(time_ms, self._seq, kind, client_id))
+        heapq.heappush(self._heap, (time_ms, self._seq, handler, client_id))
 
-    def _trace(self, kind: EventKind, client_id: int, detail: str = "") -> None:
+    def _trace(self, kind: str, client_id: int, detail: str = "") -> None:
         if self.trace is not None:
-            self.trace.write(f"{self.now} {kind.value} client={client_id} {detail}\n".rstrip() + "\n")
+            self.trace.write(f"{self.now} {kind} client={client_id} {detail}\n".rstrip() + "\n")
 
     # -- world view -------------------------------------------------------
 
@@ -287,24 +251,11 @@ class Simulation:
         """Process one event; returns False once the heap is empty."""
         if not self._heap:
             return False
-        ev = heapq.heappop(self._heap)
-        if ev.time_ms < self.now:
+        time_ms, _seq, handler, client_id = heapq.heappop(self._heap)
+        if time_ms < self.now:
             raise SimulationError("event time went backwards")
-        self.now = ev.time_ms
-        if ev.kind is EventKind.ARRIVAL:
-            self._on_arrival(ev)
-        elif ev.kind is EventKind.SLOT_START:
-            self._on_slot_start(ev)
-        elif ev.kind is EventKind.FETCH_COMPLETE:
-            self._on_fetch_complete(ev)
-        elif ev.kind is EventKind.QUEUE_GRANT:
-            self._on_queue_grant(ev)
-        elif ev.kind is EventKind.PLAYBACK_END:
-            self._on_playback_end(ev)
-        elif ev.kind is EventKind.DEPARTURE:
-            self._on_departure(ev)
-        else:
-            raise SimulationError(f"unhandled event kind {ev.kind}")
+        self.now = time_ms
+        handler(client_id)
         return True
 
     # -- event handlers ---------------------------------------------------
@@ -314,9 +265,9 @@ class Simulation:
         gap = int(round(self._rng_arrivals.exponential(scale)))
         t = from_ms + max(0, gap)
         if t <= self.horizon_ms:
-            self._schedule(t, EventKind.ARRIVAL)
+            self._schedule(t, self._on_arrival)
 
-    def _on_arrival(self, ev: Event) -> None:
+    def _on_arrival(self, _client_id: int) -> None:
         self._schedule_next_arrival(from_ms=self.now)
         cid = self._next_client_id
         self._next_client_id += 1
@@ -332,13 +283,11 @@ class Simulation:
         self.arrived += 1
 
         cls = classify_arrival(self.plans[video_id], self.now)
-        c.assigned_channel = cls.channel
         c.missed_ms = cls.missed_ms
-        self._trace(EventKind.ARRIVAL, cid, f"video={video_id} missed={cls.missed_ms}")
+        self._trace("arrival", cid, f"video={video_id} missed={cls.missed_ms}")
 
         if cls.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
-            c.startup_delay_ms = 0
             c.playback_start_ms = self.now
             self._fill_buffers(c, missed_ms=0)
             self._count_arrival(c, SourceKind.CHANNEL_SLOT, failed=False, attempt=False, delay_ms=0)
@@ -349,20 +298,18 @@ class Simulation:
         self._apply_outcome(c, outcome)
 
     def _apply_outcome(self, c: ClientRecord, out: AcquisitionOutcome) -> None:
-        attempt = self.scheme is not SchemeId.NO_CACHE
         self._count_arrival(
             c,
             out.source_kind,
             failed=out.failed,
-            attempt=attempt,
+            attempt=self.scheme is not SchemeId.NO_CACHE,
             delay_ms=out.startup_delay_ms,
         )
-        c.startup_delay_ms = out.startup_delay_ms
 
         if out.source_kind is SourceKind.CHANNEL_SLOT:
             c.state = ClientState.AWAITING_SLOT
             c.playback_start_ms = self.now + out.slot_wait_ms
-            self._schedule(c.playback_start_ms, EventKind.SLOT_START, c.id)
+            self._schedule(c.playback_start_ms, self._on_slot_start, c.id)
             return
 
         c.state = ClientState.FETCHING_FIRST
@@ -376,8 +323,7 @@ class Simulation:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
             c.fetch_holder_id = out.holder_id
-            c.fetch_via_id = out.via_id
-            self._schedule(fetch_end, EventKind.FETCH_COMPLETE, c.id)
+            self._schedule(fetch_end, self._on_fetch_complete, c.id)
             return
 
         # Pool-backed fetches hold their slot from grant to transfer end.
@@ -389,7 +335,7 @@ class Simulation:
             self._grant_stream(c, pool)
         else:
             pool.enqueue(c.id, hold)
-            self._schedule(self.now + out.queue_wait_ms, EventKind.QUEUE_GRANT, c.id)
+            self._schedule(self.now + out.queue_wait_ms, self._on_queue_grant, c.id)
 
     def _grant_stream(self, c: ClientRecord, pool: StreamPool) -> None:
         end = self.now + c.fetch_hold_ms
@@ -398,27 +344,26 @@ class Simulation:
             balancer.record_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
             if c.arrival_ms > self.warmup_ms:
                 self._lps_grants[c.fetch_lps_id] += 1
-        self._schedule(end, EventKind.FETCH_COMPLETE, c.id)
+        self._schedule(end, self._on_fetch_complete, c.id)
 
-    def _on_slot_start(self, ev: Event) -> None:
-        c = self.clients[ev.client_id]
+    def _on_slot_start(self, client_id: int) -> None:
+        c = self.clients[client_id]
         if c.state is not ClientState.AWAITING_SLOT:
             raise SimulationError(f"client {c.id} hit a slot in state {c.state}")
         self._fill_buffers(c, missed_ms=0)
-        self._trace(EventKind.SLOT_START, c.id)
+        self._trace("slot_start", c.id)
         self._begin_playback(c)
 
-    def _on_queue_grant(self, ev: Event) -> None:
-        c = self.clients[ev.client_id]
+    def _on_queue_grant(self, client_id: int) -> None:
+        c = self.clients[client_id]
         pool = self.por_pool if c.fetch_kind is SourceKind.POR else self.lps_pools[c.fetch_lps_id]
-        head_id, _hold = pool.pop_pending()
-        if head_id != c.id:
+        if pool.pop_pending() != c.id:
             raise SimulationError("queue grant out of FIFO order")
-        self._trace(EventKind.QUEUE_GRANT, c.id)
+        self._trace("queue_grant", c.id)
         self._grant_stream(c, pool)
 
-    def _on_fetch_complete(self, ev: Event) -> None:
-        c = self.clients[ev.client_id]
+    def _on_fetch_complete(self, client_id: int) -> None:
+        c = self.clients[client_id]
         if c.fetch_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
             holder = self.clients.get(c.fetch_holder_id)
             if holder is not None:
@@ -428,7 +373,7 @@ class Simulation:
         elif c.fetch_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
         self._fill_buffers(c, missed_ms=c.missed_ms)
-        self._trace(EventKind.FETCH_COMPLETE, c.id)
+        self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 
     def _begin_playback(self, c: ClientRecord) -> None:
@@ -436,20 +381,18 @@ class Simulation:
         if caching.on_playback_started(self.scheme, c, c.video_id, self.world_view(), self._rng_cache):
             c.holder = True
         video = self.videos[c.video_id]
-        self._schedule(c.playback_start_ms + video.length_ms, EventKind.PLAYBACK_END, c.id)
+        self._schedule(c.playback_start_ms + video.length_ms, self._on_playback_end, c.id)
 
-    def _on_playback_end(self, ev: Event) -> None:
-        self._trace(EventKind.PLAYBACK_END, ev.client_id)
-        self._schedule(self.now, EventKind.DEPARTURE, ev.client_id)
+    def _on_playback_end(self, client_id: int) -> None:
+        self._trace("playback_end", client_id)
+        self._schedule(self.now, self._on_departure, client_id)
 
-    def _on_departure(self, ev: Event) -> None:
-        c = self.clients[ev.client_id]
-        c.state = ClientState.DONE
-        c.holder = False
+    def _on_departure(self, client_id: int) -> None:
+        c = self.clients[client_id]
         self.index.remove(c.id, c.position)
         del self.clients[c.id]
         self.departed += 1
-        self._trace(EventKind.DEPARTURE, c.id)
+        self._trace("departure", c.id)
         if self.arrived != self.departed + len(self.clients):
             raise SimulationError("client conservation violated")
 
@@ -505,26 +448,6 @@ class Simulation:
             lps_requests=dict(self._lps_grants),
             empty=(n == 0),
         )
-
-
-def classify_arrival(plan: BroadcastPlan, t_ms: int) -> ArrivalClass:
-    """Split an arrival into on-time (a slot starts now) or late by ``missed_ms``.
-
-    The returned channel is the one whose segment-1 slot the client can
-    use: the slot starting at this very instant when on time, otherwise
-    the channel currently part-way through segment 1.
-    """
-    if t_ms < plan.epoch_ms:
-        raise BeforeStartError(f"arrival at {t_ms} precedes epoch {plan.epoch_ms}")
-    since = t_ms - plan.epoch_ms
-    missed = since % plan.segment_duration_ms
-    channel = ((since // plan.segment_duration_ms) % plan.channels) + 1
-    return ArrivalClass(on_time=(missed == 0), channel=channel, missed_ms=missed)
-
-
-def snapshot_world(sim: Simulation) -> WorldView:
-    """Read-only view of the simulation at its current instant."""
-    return sim.world_view()
 
 
 def run_simulation(cfg: SimConfig, scheme: SchemeId, trace: TextIO | None = None) -> MetricsReport:

@@ -73,20 +73,47 @@ def build_plan(video: VideoSpec, channels: int, epoch_ms: int = 0) -> BroadcastP
     )
 
 
+@dataclass(frozen=True)
+class ArrivalClass:
+    """Whether an arrival coincides with a segment-1 slot, and on which channel.
+
+    ``wait_ms`` is the time to the next segment-1 slot, 0 when on time.
+    """
+
+    on_time: bool
+    channel: int
+    missed_ms: int
+    wait_ms: int
+
+
+def classify_arrival(plan: BroadcastPlan, t_ms: int) -> ArrivalClass:
+    """Split an arrival into on-time (a slot starts now) or late by ``missed_ms``.
+
+    The returned channel is the one whose segment-1 slot the client can
+    use: the slot starting at this very instant when on time, otherwise
+    the channel currently part-way through segment 1.
+    """
+    if t_ms < plan.epoch_ms:
+        raise BeforeStartError(f"arrival at {t_ms} precedes epoch {plan.epoch_ms}")
+    d = plan.segment_duration_ms
+    since = t_ms - plan.epoch_ms
+    missed = since % d
+    channel = ((since // d) % plan.channels) + 1
+    return ArrivalClass(on_time=(missed == 0), channel=channel, missed_ms=missed,
+                        wait_ms=(d - missed) if missed else 0)
+
+
 def next_first_segment_start(plan: BroadcastPlan, t_ms: int) -> tuple[int, int]:
     """Channel and wait for the next segment-1 slot at or after ``t_ms``.
 
     Returns ``(channel, wait_ms)`` with ``wait_ms == 0`` exactly when a
-    segment-1 slot begins at ``t_ms`` itself.
+    segment-1 slot begins at ``t_ms`` itself. A late arrival waits for the
+    channel after the one part-way through segment 1.
     """
-    if t_ms < plan.epoch_ms:
-        raise BeforeStartError(f"t={t_ms} precedes the plan epoch {plan.epoch_ms}")
-    d = plan.segment_duration_ms
-    since = t_ms - plan.epoch_ms
-    wait = (d - (since % d)) % d
-    slot_index = (since + wait) // d
-    channel = (slot_index % plan.channels) + 1
-    return channel, wait
+    cls = classify_arrival(plan, t_ms)
+    if cls.on_time:
+        return cls.channel, 0
+    return cls.channel % plan.channels + 1, cls.wait_ms
 
 
 def current_segment(plan: BroadcastPlan, channel: int, t_ms: int) -> int:

@@ -217,6 +217,13 @@ class TestMain:
         assert code == 2
         assert "segments" in capsys.readouterr().err
 
+    def test_nan_config_value_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("arrival_rate_per_min = nan\n", encoding="utf-8")
+        code = main(["simulate", "--config", str(cfg)])
+        assert code == 2
+        assert "arrival_rate_per_min must be finite" in capsys.readouterr().err
+
     def test_analyze_prints_capacity_report(self, capsys):
         code = main(["analyze", "--cache-mbit", "0", "--service-minutes", "60"])
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Config validation, config-file parsing, and the seeded random source."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -108,6 +109,16 @@ class TestValidateConfig:
     def test_validation_is_pure(self):
         cfg = dataclasses.replace(SimConfig(), bandwidth_mbps=-1.0, channels=0)
         assert validate_config(cfg) == validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(SimConfig) if f.type in ("float", float)]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        # NaN slips through every ordering check, and inf overflows the
+        # minute-to-ms conversions, so neither may reach a run.
+        cfg = dataclasses.replace(SimConfig(), **{name: value})
+        assert f"{name} must be finite" in validate_config(cfg)
 
 
 class TestConfigFile:

@@ -13,7 +13,6 @@ from sbvod.engine import (
     StreamPool,
     classify_arrival,
     run_simulation,
-    snapshot_world,
 )
 from sbvod.sb_scheduler import BeforeStartError, build_plan
 from sbvod.domain import QualityLevel, VideoSpec
@@ -96,13 +95,13 @@ class TestSimulationLifecycle:
 
     def test_fresh_simulation_has_no_clients(self):
         sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
-        assert snapshot_world(sim).present_snapshot() == ()
+        assert sim.world_view().present_snapshot() == ()
 
     def test_one_arrival_one_present_client(self):
         sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
         sim._schedule_next_arrival(from_ms=0)
         assert sim.step()
-        snap = snapshot_world(sim).present_snapshot()
+        snap = sim.world_view().present_snapshot()
         assert len(snap) == 1
 
     def test_snapshot_taken_twice_is_identical(self):
@@ -111,7 +110,7 @@ class TestSimulationLifecycle:
         for _ in range(40):
             if not sim.step():
                 break
-        assert snapshot_world(sim).present_snapshot() == snapshot_world(sim).present_snapshot()
+        assert sim.world_view().present_snapshot() == sim.world_view().present_snapshot()
 
     def test_late_client_buffers_split_on_fetch(self):
         # Step an all-cache run until some client finishes a neighbor

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from sbvod.domain import MS_PER_MINUTE, QualityLevel, VideoSpec
 from sbvod.sb_scheduler import (
     BeforeStartError,
+    BroadcastPlan,
     NonDivisibleError,
     build_plan,
+    classify_arrival,
     current_segment,
     max_channels,
     next_first_segment_start,
@@ -161,6 +163,29 @@ class TestCurrentSegment:
         plan = build_plan(_video(60), 5)
         with pytest.raises(ValueError):
             current_segment(plan, 6, 0)
+
+
+class TestSlotFunctionsAgree:
+    """``next_first_segment_start`` and ``classify_arrival`` describe one slot position."""
+
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            build_plan(_video(1), 3),
+            BroadcastPlan(video_id=1, channels=4, segment_duration_ms=7, epoch_ms=5,
+                          channel_offsets_ms=(0, 7, 14, 21), cycle_ms=28),
+        ],
+        ids=["1min-3ch", "7ms-4ch-epoch5"],
+    )
+    def test_every_ms_of_two_cycles(self, plan):
+        d, k = plan.segment_duration_ms, plan.channels
+        for t in range(plan.epoch_ms, plan.epoch_ms + 2 * plan.cycle_ms):
+            cls = classify_arrival(plan, t)
+            channel, wait = next_first_segment_start(plan, t)
+            assert (wait == 0) == cls.on_time, t
+            if not cls.on_time:
+                assert wait == d - cls.missed_ms, t
+                assert channel == cls.channel % k + 1, t
 
 
 class TestMeanWait:
