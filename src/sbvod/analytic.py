@@ -120,7 +120,8 @@ def place_cache(
 
 def hit_ratio(videos, placement: PlacementMap) -> float:
     """Probability that an arriving request finds its first segment cached."""
-    return sum(w for v, q, w in weighted_items(videos) if placement.is_cached(v.id, q.q_index))
+    cached = (w for v, q, w in weighted_items(videos) if placement.is_cached(v.id, q.q_index))
+    return sum(cached, 0.0)
 
 
 # Loss-model figures of a report that opens no dedicated stream.
@@ -144,7 +145,7 @@ def _residual_traffic(videos, served, lambda_per_sec: float, bandwidth_bits: flo
     if mean_service_minutes <= 0:
         raise ValueError("mean_service_minutes must be positive")
 
-    served_weight = sum(w for v, q, w in weighted_items(videos) if served(v.id, q.q_index))
+    served_weight = sum((w for v, q, w in weighted_items(videos) if served(v.id, q.q_index)), 0.0)
     lam = lambda_per_sec * (1.0 - served_weight)
     rest_weight_rate = sum(
         w * q.stream_rate_bps for v, q, w in weighted_items(videos) if not served(v.id, q.q_index)
@@ -200,12 +201,13 @@ def dedicated_stream_analysis(
 
 def broadcast_reserved_bits(videos, placement: PlacementMap) -> float:
     """Bandwidth consumed by replaying the broadcast-selected items."""
-    return sum(
+    replayed = (
         q.stream_rate_bps * placement.lps_channels
         for v, q, _w in weighted_items(videos)
         if (not placement.is_cached(v.id, q.q_index))
         and placement.is_broadcast(v.id, q.q_index)
     )
+    return sum(replayed, 0.0)
 
 
 def select_broadcast_videos(

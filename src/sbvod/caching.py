@@ -139,13 +139,14 @@ class NeighborIndex:
                     yield from cell
 
 
-@dataclass(frozen=True)
+@dataclass
 class WorldView:
-    """Read-only snapshot of everything a strategy may look at.
+    """Everything a strategy may look at, as live references into one run.
 
-    The engine hands one of these to :func:`acquire_first_segment` at each
-    decision instant; nothing in it is mutated during the call, so equal
-    views produce equal outcomes.
+    The engine builds one view per run and sets ``now_ms`` before each
+    decision it hands to :func:`acquire_first_segment`. The clients,
+    index and pools are the engine's own objects, not copies; strategies
+    only read them, so equal worlds produce equal outcomes.
     """
 
     now_ms: int
@@ -286,34 +287,26 @@ def acquire_first_segment(
     if scheme is SchemeId.POR_CACHE:
         if world.por_pool is None:
             raise ValueError("por-cache requires a forwarder pool in the world view")
-        queue_wait = world.por_pool.projected_wait(world.now_ms)
-        if queue_wait > wait_ms:
-            return _slot_outcome(scheme, wait_ms, latency, failed=True)
-        return AcquisitionOutcome(
-            source_kind=SourceKind.POR,
-            startup_delay_ms=2 * latency + queue_wait,
-            slot_wait_ms=wait_ms,
-            queue_wait_ms=queue_wait,
-            fetch_ms=fetch_ms,
-        )
-
-    if scheme is SchemeId.PROXY_CACHE:
+        kind, pool, lps_id, hops = SourceKind.POR, world.por_pool, None, 2
+    elif scheme is SchemeId.PROXY_CACHE:
         if world.lps_table is None or not world.lps_pools:
             raise ValueError("proxy-cache requires an LPS table in the world view")
         lps_id = _balancer.assign_lps(world.lps_table)
-        queue_wait = world.lps_pools[lps_id].projected_wait(world.now_ms)
-        if queue_wait > wait_ms:
-            return _slot_outcome(scheme, wait_ms, latency, failed=True)
-        return AcquisitionOutcome(
-            source_kind=SourceKind.LPS,
-            startup_delay_ms=3 * latency + queue_wait,
-            lps_id=lps_id,
-            slot_wait_ms=wait_ms,
-            queue_wait_ms=queue_wait,
-            fetch_ms=fetch_ms,
-        )
+        kind, pool, hops = SourceKind.LPS, world.lps_pools[lps_id], 3
+    else:
+        raise ValueError(f"unhandled scheme {scheme!r}")
 
-    raise ValueError(f"unhandled scheme {scheme!r}")
+    queue_wait = pool.projected_wait(world.now_ms)
+    if queue_wait > wait_ms:
+        return _slot_outcome(scheme, wait_ms, latency, failed=True)
+    return AcquisitionOutcome(
+        source_kind=kind,
+        startup_delay_ms=hops * latency + queue_wait,
+        lps_id=lps_id,
+        slot_wait_ms=wait_ms,
+        queue_wait_ms=queue_wait,
+        fetch_ms=fetch_ms,
+    )
 
 
 def on_playback_started(scheme: SchemeId, client, video_id: int, world: WorldView, rng) -> bool:

@@ -113,6 +113,39 @@ def _run_row(name: str, cfg: SimConfig, rep: int, report: MetricsReport) -> str:
     return ",".join(cells)
 
 
+# Two-sided 95% Student-t quantiles for 1 to 29 degrees of freedom.
+_T975 = (
+    12.706204736174705, 4.302652729749464, 3.1824463052837095, 2.7764451051977943,
+    2.5705818356363155, 2.44691185114497, 2.3646242515927853, 2.3060041352041667,
+    2.2621571627982053, 2.228138851986275, 2.2009851600916397, 2.178812829667229,
+    2.1603686564627926, 2.144786687917804, 2.1314495455597755, 2.1199052992212546,
+    2.109815577833317, 2.1009220402410387, 2.0930240544083096, 2.085963447265865,
+    2.0796138447276804, 2.0738730679040263, 2.0686576104190486, 2.063898561628026,
+    2.0595385527532977, 2.055529438642873, 2.0518305164802855, 2.048407141795245,
+    2.0452296421327043,
+)
+_Z975 = 1.9599639845400543
+
+
+def _t975(df: int) -> float:
+    """Two-sided 95% Student-t quantile for ``df`` degrees of freedom.
+
+    Tabled below 30; from there the four-term Cornish-Fisher expansion
+    around the normal quantile (Abramowitz & Stegun 26.7.5) is within a
+    relative 1.6e-8.
+    """
+    if df < 1:
+        raise ValueError("degrees of freedom must be at least 1")
+    if df < 30:
+        return _T975[df - 1]
+    z = _Z975
+    g1 = (z**3 + z) / 4
+    g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96
+    g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384
+    g4 = (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160
+    return z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4
+
+
 def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport]) -> str:
     def col(values: list[float | None]) -> str:
         kept = [v for v in values if v is not None]
@@ -120,7 +153,7 @@ def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport])
 
     means = [r.mean_startup_delay_ms for r in reports if r.mean_startup_delay_ms is not None]
     if len(means) >= 2:
-        ci = 1.96 * statistics.stdev(means) / math.sqrt(len(means))
+        ci = _t975(len(means) - 1) * statistics.stdev(means) / math.sqrt(len(means))
     else:
         ci = 0.0 if means else None
     cells = (

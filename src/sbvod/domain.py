@@ -20,6 +20,18 @@ BITS_PER_MEGABIT = 1_000_000
 # Tolerance when checking that request probabilities sum to one.
 _PROB_TOL = 1e-9
 
+# Float limits that keep a validated run's arithmetic finite and exact.
+# numpy's exponential draw is below 64 means (its ziggurat tail adds at
+# most 53 ln 2 to an edge of 7.7), so a mean gap up to 2**1017 ms stays
+# finite. Grid cell keys stay exact while lf_radius / range is at most
+# 2**52. Squared distances within a 3x3 cell block are below
+# 8 * range**2, which stays finite up to a range of 2**509 m. A mean delay
+# past the float range raises, so latencies stop at 2**53 ms, far inside it.
+_MAX_MEAN_GAP_MS = 2.0**1017
+_MAX_GRID_CELLS = 2.0**52
+_MAX_RANGE_M = 2.0**509
+_MAX_LATENCY_MS = 2**53
+
 
 class ConfigError(ValueError):
     """Unreadable config file, unknown key, or a value of the wrong type."""
@@ -140,6 +152,11 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("consumption_rate_mbps must be positive")
     if cfg.arrival_rate_per_min <= 0:
         out.append("arrival_rate_per_min must be positive")
+    elif MS_PER_MINUTE / cfg.arrival_rate_per_min > _MAX_MEAN_GAP_MS:
+        out.append(
+            f"arrival_rate_per_min = {cfg.arrival_rate_per_min:g} is too small:"
+            " the gap between arrivals overflows a float"
+        )
     if cfg.num_videos < 1:
         out.append("num_videos must be at least 1")
     if cfg.num_lps < 1:
@@ -150,8 +167,20 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("lf_radius_m must be positive")
     if cfg.client_range_m <= 0:
         out.append("client_range_m must be positive")
+    elif cfg.client_range_m > _MAX_RANGE_M:
+        out.append(
+            f"client_range_m = {cfg.client_range_m:g} is too large:"
+            " squared distances overflow a float past 2**509 m"
+        )
+    elif cfg.lf_radius_m / cfg.client_range_m > _MAX_GRID_CELLS:
+        out.append(
+            f"client_range_m = {cfg.client_range_m:g} is too small for lf_radius_m ="
+            f" {cfg.lf_radius_m:g}: grid cell keys past 2**52 are not exact"
+        )
     if cfg.msg_latency_ms < 0:
         out.append("msg_latency_ms must be non-negative")
+    elif cfg.msg_latency_ms > _MAX_LATENCY_MS:
+        out.append("msg_latency_ms must be at most 2**53")
     if not 0.0 <= cfg.random_cache_prob <= 1.0:
         out.append("random_cache_prob must lie in [0, 1]")
     if cfg.horizon_minutes <= 0:

@@ -69,7 +69,7 @@ class ClientRecord:
     fetch_kind: SourceKind | None = None
     fetch_holder_id: int | None = None
     fetch_lps_id: int | None = None
-    fetch_hold_ms: int = 0
+    fetch_end_ms: int = 0
 
 
 @dataclass(frozen=True)
@@ -91,47 +91,43 @@ class MetricsReport:
 class StreamPool:
     """Fixed number of concurrent first-segment streams plus a FIFO queue.
 
-    Busy slots are tracked as absolute end times; queued jobs remember how
-    long they will hold a slot once granted. Because every hold length is
-    known at enqueue time, the wait a new arrival would face is computed
-    exactly, and the grant instants the projection promises are the ones
-    the event loop later delivers.
+    ``_ends`` is a min-heap of the instants at which each busy or promised
+    slot falls free; an entry at or before now is a free slot. Every hold
+    is known at enqueue time, so a queued job is promised the earliest slot
+    at once: a new arrival's wait is the heap's head, and the grant instants
+    it promises are the ones the event loop later delivers.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = capacity
-        self._busy: list[int] = []
-        self._pending: deque[tuple[int, int]] = deque()
-
-    def _prune(self, now_ms: int) -> None:
-        while self._busy and self._busy[0] <= now_ms:
-            heapq.heappop(self._busy)
+        self._ends: list[int] = []
+        self._pending: deque[int] = deque()
 
     def projected_wait(self, now_ms: int) -> int:
         """Wait until a slot would be granted to a job arriving right now."""
-        self._prune(now_ms)
-        if not self._pending and len(self._busy) < self.capacity:
+        if len(self._ends) < self.capacity:
             return 0
-        avail = [now_ms] * (self.capacity - len(self._busy)) + list(self._busy)
-        heapq.heapify(avail)
-        for _cid, hold in self._pending:
-            start = heapq.heappop(avail)
-            heapq.heappush(avail, start + hold)
-        return max(0, heapq.heappop(avail) - now_ms)
+        return max(0, self._ends[0] - now_ms)
 
     def admit(self, now_ms: int, end_ms: int) -> None:
-        self._prune(now_ms)
-        if len(self._busy) >= self.capacity:
+        """Start a stream now on a free slot, reusing a slot that fell free first."""
+        if self._ends and self._ends[0] <= now_ms:
+            heapq.heapreplace(self._ends, end_ms)
+        elif len(self._ends) < self.capacity:
+            heapq.heappush(self._ends, end_ms)
+        else:
             raise SimulationError("stream pool admitted past capacity")
-        heapq.heappush(self._busy, end_ms)
 
     def enqueue(self, client_id: int, hold_ms: int) -> None:
-        self._pending.append((client_id, hold_ms))
+        if len(self._ends) < self.capacity:
+            raise SimulationError("enqueue into a stream pool with a free slot")
+        heapq.heapreplace(self._ends, self._ends[0] + hold_ms)
+        self._pending.append(client_id)
 
     def pop_pending(self) -> int:
-        return self._pending.popleft()[0]
+        return self._pending.popleft()
 
 
 class Simulation:
@@ -173,6 +169,20 @@ class Simulation:
         )
         self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in range(1, cfg.num_lps + 1)}
         self.por_pool = StreamPool(cfg.lps_capacity)
+        self._world = WorldView(
+            now_ms=0,
+            msg_latency_ms=cfg.msg_latency_ms,
+            client_range_m=cfg.client_range_m,
+            consumption_rate_mbps=cfg.consumption_rate_mbps,
+            bandwidth_mbps=cfg.bandwidth_mbps,
+            random_cache_prob=cfg.random_cache_prob,
+            clients=self.clients,
+            index=self.index,
+            plans=self.plans,
+            lps_table=self.lps_table,
+            lps_pools=self.lps_pools,
+            por_pool=self.por_pool,
+        )
 
         self.horizon_ms = cfg.horizon_ms
         self.warmup_ms = cfg.warmup_ms
@@ -222,20 +232,9 @@ class Simulation:
     # -- world view -------------------------------------------------------
 
     def world_view(self) -> WorldView:
-        return WorldView(
-            now_ms=self.now,
-            msg_latency_ms=self.cfg.msg_latency_ms,
-            client_range_m=self.cfg.client_range_m,
-            consumption_rate_mbps=self.cfg.consumption_rate_mbps,
-            bandwidth_mbps=self.cfg.bandwidth_mbps,
-            random_cache_prob=self.cfg.random_cache_prob,
-            clients=self.clients,
-            index=self.index,
-            plans=self.plans,
-            lps_table=self.lps_table,
-            lps_pools=self.lps_pools,
-            por_pool=self.por_pool,
-        )
+        """The run's one view, with its clock set to now."""
+        self._world.now_ms = self.now
+        return self._world
 
     # -- main loop --------------------------------------------------------
 
@@ -314,7 +313,7 @@ class Simulation:
 
         c.state = ClientState.FETCHING_FIRST
         c.playback_start_ms = self.now + out.startup_delay_ms
-        fetch_end = c.playback_start_ms + out.fetch_ms
+        c.fetch_end_ms = c.playback_start_ms + out.fetch_ms
         c.fetch_kind = out.source_kind
 
         if out.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
@@ -323,28 +322,29 @@ class Simulation:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
             c.fetch_holder_id = out.holder_id
-            self._schedule(fetch_end, self._on_fetch_complete, c.id)
+            self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
             return
 
         # Pool-backed fetches hold their slot from grant to transfer end.
-        hold = (out.startup_delay_ms - out.queue_wait_ms) + out.fetch_ms
-        c.fetch_hold_ms = hold
         c.fetch_lps_id = out.lps_id
-        pool = self.por_pool if out.source_kind is SourceKind.POR else self.lps_pools[out.lps_id]
         if out.queue_wait_ms == 0:
-            self._grant_stream(c, pool)
+            self._pool(c).admit(self.now, c.fetch_end_ms)
+            self._grant_stream(c)
         else:
-            pool.enqueue(c.id, hold)
-            self._schedule(self.now + out.queue_wait_ms, self._on_queue_grant, c.id)
+            grant_ms = self.now + out.queue_wait_ms
+            self._pool(c).enqueue(c.id, c.fetch_end_ms - grant_ms)
+            self._schedule(grant_ms, self._on_queue_grant, c.id)
 
-    def _grant_stream(self, c: ClientRecord, pool: StreamPool) -> None:
-        end = self.now + c.fetch_hold_ms
-        pool.admit(self.now, end)
+    def _pool(self, c: ClientRecord) -> StreamPool:
+        return self.por_pool if c.fetch_kind is SourceKind.POR else self.lps_pools[c.fetch_lps_id]
+
+    def _grant_stream(self, c: ClientRecord) -> None:
+        # A queued job's slot was promised when it was enqueued.
         if c.fetch_kind is SourceKind.LPS:
             balancer.record_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
             if c.arrival_ms > self.warmup_ms:
                 self._lps_grants[c.fetch_lps_id] += 1
-        self._schedule(end, self._on_fetch_complete, c.id)
+        self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
 
     def _on_slot_start(self, client_id: int) -> None:
         c = self.clients[client_id]
@@ -356,11 +356,10 @@ class Simulation:
 
     def _on_queue_grant(self, client_id: int) -> None:
         c = self.clients[client_id]
-        pool = self.por_pool if c.fetch_kind is SourceKind.POR else self.lps_pools[c.fetch_lps_id]
-        if pool.pop_pending() != c.id:
+        if self._pool(c).pop_pending() != c.id:
             raise SimulationError("queue grant out of FIFO order")
         self._trace("queue_grant", c.id)
-        self._grant_stream(c, pool)
+        self._grant_stream(c)
 
     def _on_fetch_complete(self, client_id: int) -> None:
         c = self.clients[client_id]

@@ -178,6 +178,17 @@ class TestHitRatio:
         assert hit_ratio(videos, everything) == pytest.approx(1.0)
         assert hit_ratio(videos, nothing) == 0.0
 
+    def test_empty_sums_are_float_zeros(self):
+        # sum() of an empty generator is the int 0; a report field that
+        # is a float must read 0.0 when nothing is cached or broadcast.
+        videos = make_videos([0.6, 0.4])
+        nothing = place_cache(videos, 0.0)
+        assert type(hit_ratio(videos, nothing)) is float
+        for analysis in (dedicated_stream_analysis, broadcast_analysis):
+            report = analysis(videos, nothing, 0.1, 54e6, 60.0)
+            assert type(report.hit_ratio) is float
+            assert type(report.broadcast_bandwidth) is float
+
     def test_partial(self):
         videos = make_videos([0.5, 0.3, 0.2], sizes=[10.0, 10.0, 10.0])
         placement = place_cache(videos, 10.0)

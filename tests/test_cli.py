@@ -2,12 +2,14 @@
 
 import math
 
+import mpmath
 import pytest
 
 from sbvod.caching import SchemeId
 from sbvod.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
+    _t975,
     build_experiment_spec,
     main,
     parse_args,
@@ -150,7 +152,7 @@ class TestRunExperiment:
         n = len(means)
         mu = sum(means) / n
         sd = math.sqrt(sum((m - mu) ** 2 for m in means) / (n - 1))
-        assert float(agg[cols["ci95_ms"]]) == pytest.approx(1.96 * sd / math.sqrt(n), abs=5e-7)
+        assert float(agg[cols["ci95_ms"]]) == pytest.approx(4.302652729749464 * sd / math.sqrt(n), abs=5e-7)
 
     def test_seeds_derive_from_labels(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -239,3 +241,24 @@ class TestMain:
         text = out_csv.read_text(encoding="utf-8")
         assert text.startswith("key,value\n")
         assert "broadcast_bandwidth_bps" in text
+
+
+def _t975_oracle(df: int) -> float:
+    """The two-sided 95% Student-t quantile at 30 digits.
+
+    One Newton step on the mpmath CDF, from the value under test: its error
+    is squared, so the step lands on the true quantile to far below 1e-7.
+    """
+    with mpmath.workdps(30):
+        nu, t = mpmath.mpf(df), mpmath.mpf(_t975(df))
+        upper = mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t), regularized=True)
+        pdf = mpmath.gamma((nu + 1) / 2) / (mpmath.sqrt(nu * mpmath.pi) * mpmath.gamma(nu / 2))
+        pdf *= (1 + t * t / nu) ** (-(nu + 1) / 2)
+        return float(t - (mpmath.mpf("0.975") - 1 + upper / 2) / pdf)
+
+
+def test_t975_matches_mpmath_student_t():
+    for df in range(1, 1001):
+        assert _t975(df) == pytest.approx(_t975_oracle(df), rel=1e-7), df
+    with pytest.raises(ValueError):
+        _t975(0)

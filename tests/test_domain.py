@@ -121,6 +121,33 @@ class TestValidateConfig:
         assert f"{name} must be finite" in validate_config(cfg)
 
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arrival_rate_per_min", 1e-305),
+            ("client_range_m", 5e-324),
+            ("client_range_m", 1e200),
+            ("msg_latency_ms", 10**400),
+        ],
+    )
+    def test_values_that_overflow_a_run_rejected(self, field, value):
+        # Each of these once validated and then crashed with an OverflowError.
+        msgs = validate_config(dataclasses.replace(SimConfig(), **{field: value}))
+        assert len(msgs) == 1 and msgs[0].startswith(field)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("arrival_rate_per_min", MS_PER_MINUTE / 2.0**1017),
+            ("client_range_m", 150.0 / 2.0**52),
+            ("client_range_m", 2.0**509),
+            ("msg_latency_ms", 2**53),
+        ],
+    )
+    def test_float_limits_are_inclusive(self, field, value):
+        assert validate_config(dataclasses.replace(SimConfig(), **{field: value})) == []
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "run.cfg"

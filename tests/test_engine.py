@@ -1,11 +1,17 @@
 """Event loop, client lifecycle, buffers, queues, and run-level metrics."""
 
 import dataclasses
+import heapq
+import random
+import tracemalloc
+from collections import deque
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from sbvod.caching import SchemeId, SourceKind
-from sbvod.domain import MS_PER_MINUTE, SimConfig
+from sbvod.domain import MS_PER_MINUTE, SimConfig, validate_config
 from sbvod.engine import (
     ClientState,
     Simulation,
@@ -86,6 +92,108 @@ class TestStreamPool:
         with pytest.raises(ValueError):
             StreamPool(0)
 
+    def test_enqueue_with_a_free_slot_is_a_fault(self):
+        pool = StreamPool(2)
+        pool.admit(0, 100)
+        with pytest.raises(SimulationError):
+            pool.enqueue(7, 500)
+
+    def test_huge_capacity_allocates_nothing_per_slot(self):
+        tracemalloc.start()
+        try:
+            pool = StreamPool(10**12)
+            for t in range(0, 20_000, 10):
+                assert pool.projected_wait(t) == 0
+                pool.admit(t, t + 35)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
+
+class _ReplayPool:
+    """The pool as first written: busy end times, and every queued hold
+    replayed on each query. The reference that StreamPool must agree with."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._busy = []
+        self._pending = deque()
+
+    def _prune(self, now_ms):
+        while self._busy and self._busy[0] <= now_ms:
+            heapq.heappop(self._busy)
+
+    def projected_wait(self, now_ms):
+        self._prune(now_ms)
+        if not self._pending and len(self._busy) < self.capacity:
+            return 0
+        avail = [now_ms] * (self.capacity - len(self._busy)) + list(self._busy)
+        heapq.heapify(avail)
+        for _cid, hold in self._pending:
+            start = heapq.heappop(avail)
+            heapq.heappush(avail, start + hold)
+        return max(0, heapq.heappop(avail) - now_ms)
+
+    def admit(self, now_ms, end_ms):
+        self._prune(now_ms)
+        assert len(self._busy) < self.capacity, "reference pool admitted past capacity"
+        heapq.heappush(self._busy, end_ms)
+
+    def enqueue(self, client_id, hold_ms):
+        self._pending.append((client_id, hold_ms))
+
+    def pop_pending(self):
+        return self._pending.popleft()
+
+
+def _agree_with_replay(seed: int, steps: int) -> int:
+    """Drive both pools the way the engine does; returns the queued-job count.
+
+    Each arrival asks for the projected wait, then is refused, admitted at
+    once, or queued with its grant scheduled at the promised instant. A
+    grant due at the arrival's own ms is delivered before or after it at
+    random, as the event heap's sequence order may have it.
+    """
+    rng = random.Random(seed)
+    capacity = rng.randint(1, 4)
+    pool, ref = StreamPool(capacity), _ReplayPool(capacity)
+    grants: list[tuple[int, int, int, int]] = []  # (grant_ms, seq, client_id, hold_ms)
+    now = queued = 0
+
+    def deliver(grant_ms, cid, hold):
+        assert pool.pop_pending() == cid
+        assert ref.pop_pending()[0] == cid
+        ref.admit(grant_ms, grant_ms + hold)
+
+    for cid in range(steps):
+        now += rng.choice((0, 0, rng.randint(1, 300)))
+        while grants and (grants[0][0] < now or (grants[0][0] == now and rng.random() < 0.5)):
+            grant_ms, _seq, gid, hold = heapq.heappop(grants)
+            deliver(grant_ms, gid, hold)
+        wait = pool.projected_wait(now)
+        assert wait == ref.projected_wait(now), (seed, cid)
+        hold = rng.randint(1, 600)
+        if wait > rng.randint(0, 1500):
+            continue  # refused: past the next broadcast slot
+        if wait == 0:
+            pool.admit(now, now + hold)
+            ref.admit(now, now + hold)
+        else:
+            pool.enqueue(cid, hold)
+            ref.enqueue(cid, hold)
+            heapq.heappush(grants, (now + wait, cid, cid, hold))
+            queued += 1
+    while grants:
+        grant_ms, _seq, gid, hold = heapq.heappop(grants)
+        deliver(grant_ms, gid, hold)
+    return queued
+
+
+def test_stream_pool_matches_replay_reference():
+    queued = sum(_agree_with_replay(seed, 300) for seed in range(300))
+    assert queued > 10_000  # the queue path is exercised, not just idle admits
+
 
 class TestSimulationLifecycle:
     def test_invalid_config_is_a_fault(self):
@@ -103,6 +211,16 @@ class TestSimulationLifecycle:
         assert sim.step()
         snap = sim.world_view().present_snapshot()
         assert len(snap) == 1
+
+    def test_one_world_view_per_run_follows_the_clock(self):
+        sim = Simulation(short_cfg(), SchemeId.PROXY_CACHE)
+        sim._schedule_next_arrival(from_ms=0)
+        view = sim.world_view()
+        for _ in range(30):
+            assert sim.step()
+            assert sim.world_view() is view
+            assert view.now_ms == sim.now
+        assert sim.now > 0
 
     def test_snapshot_taken_twice_is_identical(self):
         sim = Simulation(short_cfg(), SchemeId.ALL_CACHE)
@@ -234,3 +352,54 @@ class TestHolderExclusivity:
                 if hid in sim.clients:
                     assert sim.clients[hid].uploading
         assert all(not c.uploading for c in sim.clients.values())
+
+
+def _positive(max_value=None):
+    return st.floats(min_value=0.0, max_value=max_value, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def _valid_configs(draw):
+    """Configs across everything validate_config accepts.
+
+    Geometry, latency, pool size and rates span their whole valid ranges;
+    fields that must agree with another are drawn relative to it. Only the
+    fields that set how much work a run does are bounded.
+    """
+    channels = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8)))  # all divide 60000 ms
+    num_videos = draw(st.integers(1, 5))
+    bandwidth = draw(_positive())
+    client_range = draw(_positive(2.0**509))
+    # Up to rate x horizon clients can crowd one grid cell, and a dsc run
+    # is cubic in that crowd, so the horizon bounds the work.
+    horizon = draw(_positive(5.0))
+    return SimConfig(
+        bandwidth_mbps=bandwidth,
+        channels=channels,
+        video_length_minutes=draw(st.integers(1, 120)),
+        consumption_rate_mbps=bandwidth / (channels * num_videos) * draw(_positive(1.0)),
+        arrival_rate_per_min=draw(_positive(30.0)),
+        num_videos=num_videos,
+        num_lps=draw(st.integers(1, 4)),
+        lps_capacity=draw(st.integers(1, 10**12)),
+        lf_radius_m=client_range * draw(_positive(2.0**52)),
+        client_range_m=client_range,
+        msg_latency_ms=draw(st.integers(0, 2**53)),
+        random_cache_prob=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        horizon_minutes=horizon,
+        warmup_minutes=horizon * draw(st.floats(0.0, 1.0)),
+    )
+
+
+@given(_valid_configs())
+@example(SimConfig(arrival_rate_per_min=1e-305, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(client_range_m=5e-324, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(client_range_m=1e200, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(msg_latency_ms=10**400, horizon_minutes=20.0, warmup_minutes=5.0))
+@settings(max_examples=100, deadline=None)
+def test_every_valid_config_runs_to_completion(cfg):
+    assume(validate_config(cfg) == [])
+    for scheme in SchemeId:
+        report = run_simulation(cfg, scheme)
+        assert sum(report.outcome_counts.values()) == report.arrivals
