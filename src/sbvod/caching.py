@@ -101,11 +101,13 @@ class AcquisitionOutcome:
 
 
 class NeighborIndex:
-    """Uniform-grid spatial index over present clients.
+    """Uniform-grid spatial index over a set of present clients.
 
     Cell size equals the radio range, so every client within range of a
     query point sits in one of the nine cells around it. Lookups return
-    candidate ids; exact range filtering is the caller's job.
+    candidate ids; exact range filtering is the caller's job. The engine
+    keeps one index over every present client and one per video over its
+    free holders only.
     """
 
     def __init__(self, cell_m: float):
@@ -115,7 +117,7 @@ class NeighborIndex:
         self._cells: dict[tuple[int, int], list[int]] = {}
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
-        return (int(math.floor(pos[0] / self.cell_m)), int(math.floor(pos[1] / self.cell_m)))
+        return (math.floor(pos[0] / self.cell_m), math.floor(pos[1] / self.cell_m))
 
     def add(self, cid: int, pos: tuple[float, float]) -> None:
         self._cells.setdefault(self._key(pos), []).append(cid)
@@ -129,12 +131,16 @@ class NeighborIndex:
         if not cell:
             del self._cells[key]
 
-    def ids_near(self, pos: tuple[float, float]):
-        """All ids in the 3x3 cell block around ``pos`` (superset of in-range)."""
+    def ids_near(self, pos: tuple[float, float], reach: int = 1):
+        """All ids in the cell block ``reach`` cells around ``pos``.
+
+        The default 3x3 block is a superset of the ids within range.
+        """
         cx, cy = self._key(pos)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                cell = self._cells.get((cx + dx, cy + dy))
+        cells = self._cells
+        for x in range(cx - reach, cx + reach + 1):
+            for y in range(cy - reach, cy + reach + 1):
+                cell = cells.get((x, y))
                 if cell:
                     yield from cell
 
@@ -145,8 +151,10 @@ class WorldView:
 
     The engine builds one view per run and sets ``now_ms`` before each
     decision it hands to :func:`acquire_first_segment`. The clients,
-    index and pools are the engine's own objects, not copies; strategies
-    only read them, so equal worlds produce equal outcomes.
+    indexes and pools are the engine's own objects, not copies; strategies
+    only read them, so equal worlds produce equal outcomes. ``index``
+    holds every present client; ``free_holders[video_id]`` holds exactly
+    the present clients that hold that video and are not uploading.
     """
 
     now_ms: int
@@ -157,6 +165,7 @@ class WorldView:
     random_cache_prob: float
     clients: Mapping[int, object]
     index: NeighborIndex
+    free_holders: Mapping[int, NeighborIndex]
     plans: Mapping[int, BroadcastPlan]
     lps_table: _balancer.LpsTable | None = None
     lps_pools: Mapping[int, object] | None = None
@@ -190,33 +199,35 @@ def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
     return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
 
 
-def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int):
-    """(dist2, id, record) for every present client within radio range."""
+def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
+                         index: NeighborIndex):
+    """(dist2, id, record) for each client of ``index`` in radio range, nearest first."""
     r2 = world.client_range_m**2
+    clients = world.clients
     out = []
-    for cid in world.index.ids_near(pos):
+    for cid in index.ids_near(pos):
         if cid == skip_id:
             continue
-        rec = world.clients.get(cid)
-        if rec is None:
-            continue
+        rec = clients[cid]
         d2 = _dist2(pos, rec.position)
         if d2 <= r2:
             out.append((d2, cid, rec))
-    out.sort(key=lambda t: (t[0], t[1]))
+    out.sort()  # ids are unique, so records are never compared
     return out
 
 
 def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int):
-    for d2, cid, rec in _candidates_in_range(world, pos, skip_id):
-        if rec.holder and rec.video_id == video_id and not rec.uploading:
-            return cid
-    return None
+    found = _candidates_in_range(world, pos, skip_id, world.free_holders[video_id])
+    return found[0][1] if found else None
 
 
 def _find_relay(world: WorldView, client, video_id: int):
     """First (via, holder) pair reachable in two hops, nearest-first."""
-    for _d2, zid, zrec in _candidates_in_range(world, client.position, client.id):
+    # A via sits within one cell of the client and its holder within one
+    # cell of the via, so no holder within two cells means no relay.
+    if next(world.free_holders[video_id].ids_near(client.position, 2), None) is None:
+        return None
+    for _d2, zid, zrec in _candidates_in_range(world, client.position, client.id, world.index):
         holder = _nearest_free_holder(world, zrec.position, video_id, zid)
         if holder is not None and holder != client.id:
             return zid, holder

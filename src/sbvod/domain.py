@@ -27,10 +27,19 @@ _PROB_TOL = 1e-9
 # 2**52. Squared distances within a 3x3 cell block are below
 # 8 * range**2, which stays finite up to a range of 2**509 m. A mean delay
 # past the float range raises, so latencies stop at 2**53 ms, far inside it.
+# Minute fields become ms that meet floats (buffer bits, video sizes, mean
+# delays), so m * 60000 must convert to a float: 60000 < 2**16, so
+# horizons and video lengths stop at 2**1008 minutes. A segment lasts at
+# least 1 ms, so channels stop at the longest video's length in ms,
+# 60000 * 2**1008, still below 2**1024. The channel budget turns
+# num_videos into a float too: float(2**1023) is finite, 2**1024 is not.
 _MAX_MEAN_GAP_MS = 2.0**1017
 _MAX_GRID_CELLS = 2.0**52
 _MAX_RANGE_M = 2.0**509
 _MAX_LATENCY_MS = 2**53
+_MAX_MINUTES = 2**1008
+_MAX_CHANNELS = MS_PER_MINUTE * _MAX_MINUTES
+_MAX_VIDEOS = 2**1023
 
 
 class ConfigError(ValueError):
@@ -146,8 +155,12 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("bandwidth_mbps must be positive")
     if cfg.channels < 1:
         out.append("channels must be at least 1")
+    elif cfg.channels > _MAX_CHANNELS:
+        out.append("channels must be at most 60000 * 2**1008")
     if cfg.video_length_minutes <= 0:
         out.append("video_length_minutes must be positive")
+    elif cfg.video_length_minutes > _MAX_MINUTES:
+        out.append("video_length_minutes must be at most 2**1008")
     if cfg.consumption_rate_mbps <= 0:
         out.append("consumption_rate_mbps must be positive")
     if cfg.arrival_rate_per_min <= 0:
@@ -159,6 +172,8 @@ def validate_config(cfg: SimConfig) -> list[str]:
         )
     if cfg.num_videos < 1:
         out.append("num_videos must be at least 1")
+    elif cfg.num_videos > _MAX_VIDEOS:
+        out.append("num_videos must be at most 2**1023")
     if cfg.num_lps < 1:
         out.append("num_lps must be at least 1")
     if cfg.lps_capacity < 1:
@@ -185,12 +200,15 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("random_cache_prob must lie in [0, 1]")
     if cfg.horizon_minutes <= 0:
         out.append("horizon_minutes must be positive")
+    elif cfg.horizon_minutes > _MAX_MINUTES:
+        out.append("horizon_minutes must be at most 2**1008")
     if cfg.warmup_minutes < 0:
         out.append("warmup_minutes must be non-negative")
     elif cfg.warmup_minutes > cfg.horizon_minutes:
         out.append("warmup_minutes must not exceed horizon_minutes")
 
-    if cfg.bandwidth_mbps > 0 and cfg.channels >= 1 and cfg.num_videos >= 1:
+    channels_ok = 1 <= cfg.channels <= _MAX_CHANNELS
+    if cfg.bandwidth_mbps > 0 and channels_ok and 1 <= cfg.num_videos <= _MAX_VIDEOS:
         needed = cfg.consumption_rate_mbps * cfg.channels * cfg.num_videos
         if needed > cfg.bandwidth_mbps + 1e-9:
             out.append(
@@ -198,7 +216,7 @@ def validate_config(cfg: SimConfig) -> list[str]:
                 f" * num_videos = {needed:g} exceeds bandwidth_mbps ="
                 f" {cfg.bandwidth_mbps:g}"
             )
-    if cfg.video_length_minutes > 0 and cfg.channels >= 1:
+    if 0 < cfg.video_length_minutes <= _MAX_MINUTES and channels_ok:
         if (cfg.video_length_minutes * MS_PER_MINUTE) % cfg.channels != 0:
             out.append(
                 f"video_length_minutes = {cfg.video_length_minutes} does not"

@@ -159,6 +159,8 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
         self.clients: dict[int, ClientRecord] = {}
         self.index = NeighborIndex(cfg.client_range_m)
+        # Per video: exactly the present clients with holder and not uploading.
+        self.free_holders = {vid: NeighborIndex(cfg.client_range_m) for vid in self.videos}
         self._next_client_id = 1
 
         self.lps_table = balancer.LpsTable(
@@ -178,6 +180,7 @@ class Simulation:
             random_cache_prob=cfg.random_cache_prob,
             clients=self.clients,
             index=self.index,
+            free_holders=self.free_holders,
             plans=self.plans,
             lps_table=self.lps_table,
             lps_pools=self.lps_pools,
@@ -321,6 +324,7 @@ class Simulation:
             if holder.uploading:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
+            self.free_holders[holder.video_id].remove(holder.id, holder.position)
             c.fetch_holder_id = out.holder_id
             self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
             return
@@ -369,6 +373,7 @@ class Simulation:
                 if not holder.uploading:
                     raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
                 holder.uploading = False
+                self.free_holders[holder.video_id].add(holder.id, holder.position)
         elif c.fetch_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
         self._fill_buffers(c, missed_ms=c.missed_ms)
@@ -379,6 +384,7 @@ class Simulation:
         c.state = ClientState.PLAYING
         if caching.on_playback_started(self.scheme, c, c.video_id, self.world_view(), self._rng_cache):
             c.holder = True
+            self.free_holders[c.video_id].add(c.id, c.position)
         video = self.videos[c.video_id]
         self._schedule(c.playback_start_ms + video.length_ms, self._on_playback_end, c.id)
 
@@ -389,6 +395,8 @@ class Simulation:
     def _on_departure(self, client_id: int) -> None:
         c = self.clients[client_id]
         self.index.remove(c.id, c.position)
+        if c.holder and not c.uploading:
+            self.free_holders[c.video_id].remove(c.id, c.position)
         del self.clients[c.id]
         self.departed += 1
         self._trace("departure", c.id)

@@ -41,8 +41,11 @@ def _video(vid=1, minutes=60):
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
                por_pool=None, lps_pools=None, range_m=25.0):
     index = NeighborIndex(range_m)
+    free_holders = {1: NeighborIndex(range_m)}
     for c in clients:
         index.add(c.id, c.position)
+        if c.holder and not c.uploading:
+            free_holders.setdefault(c.video_id, NeighborIndex(range_m)).add(c.id, c.position)
     table = None
     if lps_counts is not None:
         table = LpsTable([LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554") for i in sorted(lps_counts)])
@@ -60,6 +63,7 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
         random_cache_prob=0.5,
         clients={c.id: c for c in clients},
         index=index,
+        free_holders=free_holders,
         plans={1: build_plan(_video(), 5)},
         lps_table=table,
         lps_pools=lps_pools,
@@ -262,6 +266,80 @@ class TestDscRelay:
             relayed = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, 1, world)
             if not direct.failed:
                 assert not relayed.failed
+
+
+def _ref_candidates(world, pos, skip_id):
+    """Every present client in range, sorted by (dist2, id): the search as first written."""
+    r2 = world.client_range_m**2
+    out = []
+    for cid in world.index.ids_near(pos):
+        if cid == skip_id:
+            continue
+        rec = world.clients.get(cid)
+        if rec is None:
+            continue
+        d2 = (pos[0] - rec.position[0]) ** 2 + (pos[1] - rec.position[1]) ** 2
+        if d2 <= r2:
+            out.append((d2, cid, rec))
+    out.sort(key=lambda t: (t[0], t[1]))
+    return out
+
+
+def _ref_nearest_free_holder(world, pos, video_id, skip_id):
+    for _d2, cid, rec in _ref_candidates(world, pos, skip_id):
+        if rec.holder and rec.video_id == video_id and not rec.uploading:
+            return cid
+    return None
+
+
+def _ref_find_relay(world, newcomer, video_id):
+    for _d2, zid, zrec in _ref_candidates(world, newcomer.position, newcomer.id):
+        holder = _ref_nearest_free_holder(world, zrec.position, video_id, zid)
+        if holder is not None and holder != newcomer.id:
+            return zid, holder
+    return None
+
+
+def _ref_outcome(scheme, newcomer, world):
+    """(kind, holder, via, failed, delay) the reference search leads to, 5 minutes late."""
+    holder = _ref_nearest_free_holder(world, newcomer.position, 1, newcomer.id)
+    if holder is not None:
+        return SourceKind.NEIGHBOR, holder, None, False, 2 * LATENCY
+    if scheme is SchemeId.DSC_CACHE:
+        relay = _ref_find_relay(world, newcomer, 1)
+        if relay is not None:
+            return SourceKind.RELAY, relay[1], relay[0], False, 3 * LATENCY
+    hops = 2 if scheme is SchemeId.DSC_CACHE else 1
+    return SourceKind.CHANNEL_SLOT, None, None, True, 7 * MIN + hops * LATENCY
+
+
+def _random_point(rng):
+    # Most points sit on a 12.5 m lattice: cell edges, equal-distance ties
+    # and exact-range pairs; the rest anywhere, negatives included.
+    if rng.random() < 0.7:
+        return 12.5 * rng.randint(-4, 4), 12.5 * rng.randint(-4, 4)
+    return rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
+
+
+def test_search_matches_sort_every_candidate_reference():
+    rng = random.Random(4)
+    kinds = {k: 0 for k in SourceKind}
+    for _ in range(600):
+        held, busy = rng.random(), rng.random()
+        people = [
+            client(cid, *_random_point(rng), holder=rng.random() < held,
+                   uploading=rng.random() < busy, video_id=rng.randint(1, 3))
+            for cid in rng.sample(range(2, 200), rng.randint(0, 50))
+        ]
+        newcomer = client(1, *_random_point(rng))
+        world = make_world([newcomer] + people)
+        for scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
+            out = acquire_first_segment(scheme, newcomer, 1, world)
+            got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
+            assert got == _ref_outcome(scheme, newcomer, world)
+            kinds[out.source_kind] += 1
+    # Every branch of the search is exercised, not just the easy one.
+    assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 40
 
 
 class TestPoR:

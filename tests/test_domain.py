@@ -128,6 +128,10 @@ class TestValidateConfig:
             ("client_range_m", 5e-324),
             ("client_range_m", 1e200),
             ("msg_latency_ms", 10**400),
+            ("horizon_minutes", 1e305),
+            pytest.param("video_length_minutes", 10**400, id="video_length_minutes-10**400"),
+            pytest.param("channels", 10**400, id="channels-10**400"),
+            pytest.param("num_videos", 10**400, id="num_videos-10**400"),
         ],
     )
     def test_values_that_overflow_a_run_rejected(self, field, value):
@@ -146,6 +150,29 @@ class TestValidateConfig:
     )
     def test_float_limits_are_inclusive(self, field, value):
         assert validate_config(dataclasses.replace(SimConfig(), **{field: value})) == []
+
+    # Each limit at its exact value, with the companions it needs to fit the
+    # channel budget and the segment rule, then one step past it.
+    _AT_LIMIT = {
+        "horizon_minutes": {"horizon_minutes": 2.0**1008},
+        "video_length_minutes": {"video_length_minutes": 2**1008},
+        "channels": {"channels": MS_PER_MINUTE * 2**1008, "video_length_minutes": 2**1008,
+                     "consumption_rate_mbps": 1e-308},
+        "num_videos": {"num_videos": 2**1023, "consumption_rate_mbps": 5e-324},
+    }
+
+    @pytest.mark.parametrize("field", sorted(_AT_LIMIT))
+    def test_count_and_minute_limits_are_inclusive(self, field):
+        cfg = dataclasses.replace(SimConfig(), **self._AT_LIMIT[field])
+        assert validate_config(cfg) == []
+
+    @pytest.mark.parametrize("field", sorted(_AT_LIMIT))
+    def test_one_step_past_a_count_or_minute_limit_rejected(self, field):
+        overrides = dict(self._AT_LIMIT[field])
+        value = overrides[field]
+        overrides[field] = math.nextafter(value, math.inf) if isinstance(value, float) else value + 1
+        msgs = validate_config(dataclasses.replace(SimConfig(), **overrides))
+        assert len(msgs) == 1 and msgs[0].startswith(field)
 
 
 class TestConfigFile:

@@ -354,6 +354,46 @@ class TestHolderExclusivity:
         assert all(not c.uploading for c in sim.clients.values())
 
 
+def _grid_ids(grid):
+    ids = [cid for cell in grid._cells.values() for cid in cell]
+    assert len(ids) == len(set(ids)), "a client is in one free-holder grid twice"
+    return set(ids)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
+def test_free_holder_grids_track_eligible_holders(scheme):
+    # Two-minute videos on one channel over a link just wide enough for
+    # seven of them: fetches last up to a seventh of the video, so some
+    # holders reach the end of playback mid-upload.
+    cfg = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
+                    lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
+                    warmup_minutes=5.0, seed=2)
+    sim = Simulation(cfg, scheme)
+    sim._schedule_next_arrival(from_ms=0)
+    gone_mid_upload = set()
+    fetches_from_gone = 0
+    while sim._heap:
+        _t, _seq, handler, cid = sim._heap[0]
+        if handler.__func__ is Simulation._on_departure and sim.clients[cid].uploading:
+            gone_mid_upload.add(cid)
+        finishing_from = (
+            sim.clients[cid].fetch_holder_id
+            if handler.__func__ is Simulation._on_fetch_complete else None
+        )
+        sim.step()
+        for vid, grid in sim.free_holders.items():
+            want = {
+                c.id for c in sim.clients.values()
+                if c.video_id == vid and c.holder and not c.uploading
+            }
+            assert _grid_ids(grid) == want, (sim.now, vid)
+        if finishing_from in gone_mid_upload:
+            fetches_from_gone += 1
+            assert all(finishing_from not in _grid_ids(g) for g in sim.free_holders.values())
+    assert set(sim.free_holders) == set(sim.videos)
+    assert gone_mid_upload and fetches_from_gone == len(gone_mid_upload)
+
+
 def _positive(max_value=None):
     return st.floats(min_value=0.0, max_value=max_value, exclude_min=True, allow_infinity=False)
 
@@ -370,9 +410,10 @@ def _valid_configs(draw):
     num_videos = draw(st.integers(1, 5))
     bandwidth = draw(_positive())
     client_range = draw(_positive(2.0**509))
-    # Up to rate x horizon clients can crowd one grid cell, and a dsc run
-    # is cubic in that crowd, so the horizon bounds the work.
-    horizon = draw(_positive(5.0))
+    # Up to rate x horizon clients can crowd one grid cell. Searches scan
+    # only the free holders of the wanted video, so the crowd costs a run
+    # little, but the horizon still bounds how many clients it creates.
+    horizon = draw(_positive(15.0))
     return SimConfig(
         bandwidth_mbps=bandwidth,
         channels=channels,
@@ -397,6 +438,13 @@ def _valid_configs(draw):
 @example(SimConfig(client_range_m=5e-324, horizon_minutes=20.0, warmup_minutes=5.0))
 @example(SimConfig(client_range_m=1e200, horizon_minutes=20.0, warmup_minutes=5.0))
 @example(SimConfig(msg_latency_ms=10**400, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(horizon_minutes=1e305))
+@example(SimConfig(video_length_minutes=10**400, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(channels=10**400, horizon_minutes=20.0, warmup_minutes=5.0))
+@example(SimConfig(num_videos=10**400, horizon_minutes=20.0, warmup_minutes=5.0))
+# 290 clients in one grid cell, none of them a holder before the first slot.
+@example(SimConfig(client_range_m=6.6e16, lf_radius_m=6.5e-307, arrival_rate_per_min=24.8,
+                   horizon_minutes=11.8, warmup_minutes=0.0))
 @settings(max_examples=100, deadline=None)
 def test_every_valid_config_runs_to_completion(cfg):
     assume(validate_config(cfg) == [])
