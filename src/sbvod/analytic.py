@@ -159,6 +159,40 @@ def _residual_traffic(videos, served, lambda_per_sec: float, bandwidth_bits: flo
     return served_weight, (lam, avg_rate, n_streams, lam * mean_service_minutes * 60.0)
 
 
+def _capacity_report(videos, placement: PlacementMap, lambda_per_sec: float,
+                     bandwidth_bits: float, mean_service_minutes: float, b_broad: float):
+    """The report when ``b_broad`` bits of the link replay broadcast-flagged items."""
+    hit, dedicated = _residual_traffic(
+        videos, placement.is_cached, lambda_per_sec, bandwidth_bits, mean_service_minutes
+    )
+    if b_broad > bandwidth_bits:
+        raise ValueError("broadcast reservation exceeds the link bandwidth")
+    # Every replayed item has a positive rate, so with nothing replayed the
+    # served items are the cached ones and the dedicated model is the whole.
+    rest = dedicated
+    if b_broad != 0.0:
+        _served, rest = _residual_traffic(
+            videos, placement.is_served, lambda_per_sec, bandwidth_bits, mean_service_minutes,
+            reserved_bits=b_broad,
+        )
+    lam_ded, avg_ded, n_ded, _load = dedicated or _NO_TRAFFIC
+    lam_broad, avg_rate, n_streams, load = rest or _NO_TRAFFIC
+    p_block = erlang_b(load, n_streams) if rest else 0.0
+    return CapacityReport(
+        hit_ratio=hit,
+        lambda_dedicated=lam_ded,
+        avg_stream_rate=avg_ded,
+        supported_streams=n_ded,
+        blocking_prob=p_block,
+        overall_blocking=lam_broad * p_block / lambda_per_sec if rest else 0.0,
+        broadcast_bandwidth=b_broad,
+        lambda_broadcast=lam_broad,
+        avg_broadcast_rate=avg_rate,
+        dedicated_capacity=n_streams,
+        mean_service_minutes=mean_service_minutes,
+    )
+
+
 def dedicated_stream_analysis(
     videos,
     placement: PlacementMap,
@@ -175,28 +209,10 @@ def dedicated_stream_analysis(
     follows the loss formula at load ``lambda_miss * service_time``.
 
     When everything is cached no dedicated stream is ever opened; the
-    report degenerates to zeros by convention.
+    report degenerates to zeros by convention. Broadcast flags are ignored.
     """
-    hit, loss = _residual_traffic(
-        videos, placement.is_cached, lambda_per_sec, bandwidth_bits, mean_service_minutes
-    )
-    lam_ded, avg_rate, n_streams, load = loss or _NO_TRAFFIC
-    p_block = erlang_b(load, n_streams) if loss else 0.0
-    # Without a broadcast reservation the broadcast-era stream is just the
-    # dedicated stream, so mirror those fields across.
-    return CapacityReport(
-        hit_ratio=hit,
-        lambda_dedicated=lam_ded,
-        avg_stream_rate=avg_rate,
-        supported_streams=n_streams,
-        blocking_prob=p_block,
-        overall_blocking=lam_ded * p_block / lambda_per_sec if loss else 0.0,
-        broadcast_bandwidth=0.0,
-        lambda_broadcast=lam_ded,
-        avg_broadcast_rate=avg_rate,
-        dedicated_capacity=n_streams,
-        mean_service_minutes=mean_service_minutes,
-    )
+    return _capacity_report(videos, placement, lambda_per_sec, bandwidth_bits,
+                            mean_service_minutes, 0.0)
 
 
 def broadcast_reserved_bits(videos, placement: PlacementMap) -> float:
@@ -254,30 +270,5 @@ def broadcast_analysis(
     broadcast-flagged items ride the reserved slice, so only the remainder
     opens dedicated streams on what is left of the link.
     """
-    hit, dedicated = _residual_traffic(
-        videos, placement.is_cached, lambda_per_sec, bandwidth_bits, mean_service_minutes
-    )
-    lam_ded, avg_ded, n_ded, _load = dedicated or _NO_TRAFFIC
-    b_broad = broadcast_reserved_bits(videos, placement)
-    if b_broad > bandwidth_bits:
-        raise ValueError("broadcast reservation exceeds the link bandwidth")
-
-    _served, rest = _residual_traffic(
-        videos, placement.is_served, lambda_per_sec, bandwidth_bits, mean_service_minutes,
-        reserved_bits=b_broad,
-    )
-    lam_broad, avg_rate, n_streams, load = rest or _NO_TRAFFIC
-    p_block = erlang_b(load, n_streams) if rest else 0.0
-    return CapacityReport(
-        hit_ratio=hit,
-        lambda_dedicated=lam_ded,
-        avg_stream_rate=avg_ded,
-        supported_streams=n_ded,
-        blocking_prob=p_block,
-        overall_blocking=lam_broad * p_block / lambda_per_sec if rest else 0.0,
-        broadcast_bandwidth=b_broad,
-        lambda_broadcast=lam_broad,
-        avg_broadcast_rate=avg_rate,
-        dedicated_capacity=n_streams,
-        mean_service_minutes=mean_service_minutes,
-    )
+    return _capacity_report(videos, placement, lambda_per_sec, bandwidth_bits,
+                            mean_service_minutes, broadcast_reserved_bits(videos, placement))

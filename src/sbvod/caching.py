@@ -20,6 +20,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import balancer as _balancer
+from .domain import SimConfig
 from .sb_scheduler import BroadcastPlan, classify_arrival
 
 
@@ -150,19 +151,15 @@ class WorldView:
     """Everything a strategy may look at, as live references into one run.
 
     The engine builds one view per run and sets ``now_ms`` before each
-    decision it hands to :func:`acquire_first_segment`. The clients,
-    indexes and pools are the engine's own objects, not copies; strategies
-    only read them, so equal worlds produce equal outcomes. ``index``
-    holds every present client; ``free_holders[video_id]`` holds exactly
-    the present clients that hold that video and are not uploading.
+    decision it hands to :func:`acquire_first_segment`. The config,
+    clients, indexes and pools are the engine's own objects, not copies;
+    strategies only read them, so equal worlds produce equal outcomes.
+    ``index`` holds every present client; ``free_holders[video_id]`` holds
+    exactly the present clients that hold that video and are not uploading.
     """
 
     now_ms: int
-    msg_latency_ms: int
-    client_range_m: float
-    consumption_rate_mbps: float
-    bandwidth_mbps: float
-    random_cache_prob: float
+    cfg: SimConfig
     clients: Mapping[int, object]
     index: NeighborIndex
     free_holders: Mapping[int, NeighborIndex]
@@ -191,7 +188,7 @@ def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
     """
     if missed_ms <= 0:
         return 0
-    ratio = world.consumption_rate_mbps / world.bandwidth_mbps
+    ratio = world.cfg.consumption_rate_mbps / world.cfg.bandwidth_mbps
     return int(math.ceil(missed_ms * ratio))
 
 
@@ -202,7 +199,7 @@ def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
 def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
                          index: NeighborIndex):
     """(dist2, id, record) for each client of ``index`` in radio range, nearest first."""
-    r2 = world.client_range_m**2
+    r2 = world.cfg.client_range_m**2
     clients = world.clients
     out = []
     for cid in index.ids_near(pos):
@@ -265,7 +262,7 @@ def acquire_first_segment(
     if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms
-    latency = world.msg_latency_ms
+    latency = world.cfg.msg_latency_ms
     fetch_ms = fetch_duration_ms(world, arrival.missed_ms)
 
     if scheme is SchemeId.NO_CACHE:
@@ -330,7 +327,7 @@ def on_playback_started(scheme: SchemeId, client, video_id: int, world: WorldVie
     if scheme is SchemeId.ALL_CACHE:
         return True
     if scheme is SchemeId.RANDOM_CACHE:
-        return bool(rng.random() < world.random_cache_prob)
+        return bool(rng.random() < world.cfg.random_cache_prob)
     if scheme is SchemeId.DSC_CACHE:
         return bool(rng.random() < DSC_CACHE_PROB)
     return False

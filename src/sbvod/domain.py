@@ -208,13 +208,16 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("warmup_minutes must not exceed horizon_minutes")
 
     channels_ok = 1 <= cfg.channels <= _MAX_CHANNELS
-    if cfg.bandwidth_mbps > 0 and channels_ok and 1 <= cfg.num_videos <= _MAX_VIDEOS:
-        needed = cfg.consumption_rate_mbps * cfg.channels * cfg.num_videos
-        if needed > cfg.bandwidth_mbps + 1e-9:
+    if (cfg.bandwidth_mbps > 0 and cfg.consumption_rate_mbps > 0 and channels_ok
+            and 1 <= cfg.num_videos <= _MAX_VIDEOS):
+        # The inequality sb_scheduler.max_channels floors, so the two agree
+        # at the boundary; a vanishing rate sends the quotient to inf.
+        per_video = cfg.bandwidth_mbps / (cfg.consumption_rate_mbps * cfg.num_videos)
+        if cfg.channels > per_video + 1e-9:
             out.append(
-                "channel budget infeasible: consumption_rate_mbps * channels"
-                f" * num_videos = {needed:g} exceeds bandwidth_mbps ="
-                f" {cfg.bandwidth_mbps:g}"
+                f"channel budget infeasible: channels = {cfg.channels} exceeds"
+                " bandwidth_mbps / (consumption_rate_mbps * num_videos) ="
+                f" {per_video:.12g}"
             )
     if 0 < cfg.video_length_minutes <= _MAX_MINUTES and channels_ok:
         if (cfg.video_length_minutes * MS_PER_MINUTE) % cfg.channels != 0:

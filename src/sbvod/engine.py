@@ -14,7 +14,9 @@ seed, so a run is a pure function of (config, scheme).
 
 from __future__ import annotations
 
+import bisect
 import heapq
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -60,10 +62,7 @@ class ClientRecord:
     position: tuple[float, float]
     video_id: int
     state: ClientState = ClientState.REQUESTING
-    missed_ms: int = 0
     playback_start_ms: int | None = None
-    initial_buffer_fill_bits: float = 0.0
-    prefetch_buffer_fill_bits: float = 0.0
     holder: bool = False
     uploading: bool = False
     fetch_kind: SourceKind | None = None
@@ -145,7 +144,11 @@ class Simulation:
         self.plans: dict[int, BroadcastPlan] = {
             vid: build_plan(v, cfg.channels, epoch_ms=0) for vid, v in self.videos.items()
         }
-        self._video_cdf = self._build_video_cdf()
+        total = sum(v.popularity for v in self.videos.values())
+        self._video_ids = list(self.videos)
+        shares = (v.popularity / total for v in self.videos.values())
+        self._video_edges = list(itertools.accumulate(shares))
+        self._video_edges[-1] = 1.0
 
         source = RandomSource(cfg.seed)
         self._rng_arrivals = source.substream("arrivals")
@@ -173,11 +176,7 @@ class Simulation:
         self.por_pool = StreamPool(cfg.lps_capacity)
         self._world = WorldView(
             now_ms=0,
-            msg_latency_ms=cfg.msg_latency_ms,
-            client_range_m=cfg.client_range_m,
-            consumption_rate_mbps=cfg.consumption_rate_mbps,
-            bandwidth_mbps=cfg.bandwidth_mbps,
-            random_cache_prob=cfg.random_cache_prob,
+            cfg=cfg,
             clients=self.clients,
             index=self.index,
             free_holders=self.free_holders,
@@ -202,22 +201,9 @@ class Simulation:
 
     # -- setup helpers ----------------------------------------------------
 
-    def _build_video_cdf(self) -> list[tuple[float, int]]:
-        total = sum(v.popularity for v in self.videos.values())
-        acc = 0.0
-        cdf = []
-        for vid, v in self.videos.items():
-            acc += v.popularity / total
-            cdf.append((acc, vid))
-        cdf[-1] = (1.0, cdf[-1][1])
-        return cdf
-
     def _draw_video(self) -> int:
-        u = self._rng_video.random()
-        for edge, vid in self._video_cdf:
-            if u <= edge:
-                return vid
-        return self._video_cdf[-1][1]
+        # The first video whose cumulative share reaches the draw.
+        return self._video_ids[bisect.bisect_left(self._video_edges, self._rng_video.random())]
 
     def _draw_position(self) -> tuple[float, float]:
         r = self.cfg.lf_radius_m * math.sqrt(self._rng_place.random())
@@ -285,13 +271,11 @@ class Simulation:
         self.arrived += 1
 
         cls = classify_arrival(self.plans[video_id], self.now)
-        c.missed_ms = cls.missed_ms
         self._trace("arrival", cid, f"video={video_id} missed={cls.missed_ms}")
 
         if cls.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
             c.playback_start_ms = self.now
-            self._fill_buffers(c, missed_ms=0)
             self._count_arrival(c, SourceKind.CHANNEL_SLOT, failed=False, attempt=False, delay_ms=0)
             self._begin_playback(c)
             return
@@ -354,7 +338,6 @@ class Simulation:
         c = self.clients[client_id]
         if c.state is not ClientState.AWAITING_SLOT:
             raise SimulationError(f"client {c.id} hit a slot in state {c.state}")
-        self._fill_buffers(c, missed_ms=0)
         self._trace("slot_start", c.id)
         self._begin_playback(c)
 
@@ -376,7 +359,6 @@ class Simulation:
                 self.free_holders[holder.video_id].add(holder.id, holder.position)
         elif c.fetch_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
-        self._fill_buffers(c, missed_ms=c.missed_ms)
         self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 
@@ -404,22 +386,6 @@ class Simulation:
             raise SimulationError("client conservation violated")
 
     # -- metrics ----------------------------------------------------------
-
-    def _fill_buffers(self, c: ClientRecord, missed_ms: int) -> None:
-        # The opening fetched from a cache source lands in the initial
-        # buffer; whatever the joined channel still broadcasts of segment 1
-        # lands in the prefetch buffer. A slot join takes the whole segment
-        # over the initial buffer.
-        video = self.videos[c.video_id]
-        plan = self.plans[c.video_id]
-        bits_per_ms = video.consumption_rate_mbps * 1000.0
-        seg_bits = plan.segment_duration_ms * bits_per_ms
-        if missed_ms <= 0:
-            c.initial_buffer_fill_bits = seg_bits
-            c.prefetch_buffer_fill_bits = 0.0
-        else:
-            c.initial_buffer_fill_bits = missed_ms * bits_per_ms
-            c.prefetch_buffer_fill_bits = seg_bits - missed_ms * bits_per_ms
 
     def _count_arrival(
         self, c: ClientRecord, source: SourceKind, failed: bool, attempt: bool, delay_ms: int

@@ -24,14 +24,24 @@ class BeforeStartError(ValueError):
 
 @dataclass(frozen=True)
 class BroadcastPlan:
-    """Fully-resolved timetable for one video on its channel group."""
+    """Fully-resolved timetable for one video on its channel group.
+
+    Offsets and the cycle are derived on demand, so a plan's size does not
+    grow with its channel count.
+    """
 
     video_id: int
     channels: int
     segment_duration_ms: int
     epoch_ms: int
-    channel_offsets_ms: tuple[int, ...]
-    cycle_ms: int
+
+    @property
+    def cycle_ms(self) -> int:
+        return self.channels * self.segment_duration_ms
+
+    @property
+    def channel_offsets_ms(self) -> tuple[int, ...]:
+        return tuple((i - 1) * self.segment_duration_ms for i in range(1, self.channels + 1))
 
 
 def segment_duration_ms(video_length_minutes: int, channels: int) -> int:
@@ -62,14 +72,11 @@ def max_channels(bandwidth_mbps: float, transmission_rate_mbps: float, num_video
 
 
 def build_plan(video: VideoSpec, channels: int, epoch_ms: int = 0) -> BroadcastPlan:
-    d = segment_duration_ms(video.length_minutes, channels)
     return BroadcastPlan(
         video_id=video.id,
         channels=channels,
-        segment_duration_ms=d,
+        segment_duration_ms=segment_duration_ms(video.length_minutes, channels),
         epoch_ms=epoch_ms,
-        channel_offsets_ms=tuple((i - 1) * d for i in range(1, channels + 1)),
-        cycle_ms=channels * d,
     )
 
 
@@ -120,8 +127,7 @@ def current_segment(plan: BroadcastPlan, channel: int, t_ms: int) -> int:
     """1-based segment the given channel is transmitting at ``t_ms``."""
     if not 1 <= channel <= plan.channels:
         raise ValueError(f"channel {channel} out of range 1..{plan.channels}")
-    offset = plan.channel_offsets_ms[channel - 1]
-    start = plan.epoch_ms + offset
+    start = plan.epoch_ms + (channel - 1) * plan.segment_duration_ms
     if t_ms < start:
         raise BeforeStartError(
             f"channel {channel} starts at {start}, queried at {t_ms}"

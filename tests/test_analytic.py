@@ -6,6 +6,7 @@ subset search for cache placement. The shipped code must agree with
 both without sharing any code path with them.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -320,6 +321,38 @@ class TestBroadcastAnalysis:
         out = select_broadcast_videos(videos, placement, 1e9, 1)
         with pytest.raises(ValueError, match="exceeds the link bandwidth"):
             broadcast_analysis(videos, out, 1.0, 1e6, 60.0)
+
+
+def _field_reprs(report):
+    """Each report field by name, as a repr, so 0 and 0.0 or a last-bit change differ."""
+    return {f.name: repr(getattr(report, f.name)) for f in dataclasses.fields(report)}
+
+
+class TestSharedReportBody:
+    _VIDEOS = make_videos([0.4, 0.3, 0.2, 0.1], sizes=[10.0] * 4, rates=[1.5e6, 2e6, 1e6, 3e6])
+
+    @pytest.mark.parametrize("cache_bits", [0.0, 10.0, 20.0, 40.0])
+    def test_dedicated_ignores_broadcast_flags(self, cache_bits):
+        placement = place_cache(self._VIDEOS, cache_bits)
+        flagged = select_broadcast_videos(self._VIDEOS, placement, 4e6, 2)
+        plain = PlacementMap(cached=flagged.cached)
+        assert any(flagged.broadcast.values()) or cache_bits == 40.0
+        assert _field_reprs(dedicated_stream_analysis(self._VIDEOS, flagged, 0.5, 20e6, 60.0)) == (
+            _field_reprs(dedicated_stream_analysis(self._VIDEOS, plain, 0.5, 20e6, 60.0))
+        )
+
+    @pytest.mark.parametrize("cache_bits", [0.0, 10.0, 20.0, 40.0])
+    @pytest.mark.parametrize("lps_channels", [1, 3])
+    def test_nothing_replayed_matches_dedicated(self, cache_bits, lps_channels):
+        placement = place_cache(self._VIDEOS, cache_bits)
+        empty = select_broadcast_videos(self._VIDEOS, placement, 0.0, lps_channels)
+        # Flags on cached items replay nothing either.
+        cached_flags = PlacementMap(cached=placement.cached, broadcast=dict(placement.cached),
+                                    lps_channels=lps_channels)
+        expected = _field_reprs(dedicated_stream_analysis(self._VIDEOS, placement, 0.5, 20e6, 60.0))
+        for p in (empty, cached_flags):
+            assert broadcast_reserved_bits(self._VIDEOS, p) == 0.0
+            assert _field_reprs(broadcast_analysis(self._VIDEOS, p, 0.5, 20e6, 60.0)) == expected
 
 
 class TestWeightedItems:

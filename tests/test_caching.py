@@ -24,7 +24,7 @@ from sbvod.caching import (
     normalize_scheme,
     on_playback_started,
 )
-from sbvod.domain import MS_PER_MINUTE, QualityLevel, RandomSource, VideoSpec
+from sbvod.domain import MS_PER_MINUTE, QualityLevel, RandomSource, SimConfig, VideoSpec
 from sbvod.engine import ClientRecord, StreamPool
 from sbvod.sb_scheduler import build_plan
 
@@ -56,11 +56,8 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
             lps_pools = {i: StreamPool(lps_capacity) for i in lps_counts}
     return WorldView(
         now_ms=now_ms,
-        msg_latency_ms=LATENCY,
-        client_range_m=range_m,
-        consumption_rate_mbps=1.5,
-        bandwidth_mbps=54.0,
-        random_cache_prob=0.5,
+        cfg=SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
+                      bandwidth_mbps=54.0, random_cache_prob=0.5),
         clients={c.id: c for c in clients},
         index=index,
         free_holders=free_holders,
@@ -270,7 +267,7 @@ class TestDscRelay:
 
 def _ref_candidates(world, pos, skip_id):
     """Every present client in range, sorted by (dist2, id): the search as first written."""
-    r2 = world.client_range_m**2
+    r2 = world.cfg.client_range_m**2
     out = []
     for cid in world.index.ids_near(pos):
         if cid == skip_id:
@@ -451,8 +448,8 @@ class TestRetention:
 
         rng = RandomSource(1).substream("cache-retention")
         base = make_world([])
-        zero = dataclasses.replace(base, random_cache_prob=0.0)
-        one = dataclasses.replace(base, random_cache_prob=1.0)
+        zero = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=0.0))
+        one = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=1.0))
         assert not on_playback_started(SchemeId.RANDOM_CACHE, client(1), 1, zero, rng)
         assert on_playback_started(SchemeId.RANDOM_CACHE, client(1), 1, one, rng)
 

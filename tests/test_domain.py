@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sbvod.domain import (
     MS_PER_MINUTE,
@@ -18,6 +20,7 @@ from sbvod.domain import (
     load_config,
     validate_config,
 )
+from sbvod.sb_scheduler import max_channels
 
 
 def _quality(rate=1.5e6, size=5.4e9, prob=1.0, q=1):
@@ -88,6 +91,42 @@ class TestValidateConfig:
         )
         msgs = validate_config(bad)
         assert any("exceeds bandwidth_mbps" in m for m in msgs)
+
+    @staticmethod
+    def _budget_msgs(**fields):
+        msgs = validate_config(dataclasses.replace(SimConfig(), **fields))
+        return [m for m in msgs if m.startswith("channel budget")]
+
+    def test_budget_accepts_what_max_channels_grants(self):
+        # 45 - 5e-9 Mbps is a hair short of three 1.5 Mbps channels for each
+        # of 10 videos; the float tolerance grants the third channel anyway.
+        assert max_channels(45 - 5e-9, 1.5, 10) == 3
+        assert validate_config(
+            dataclasses.replace(SimConfig(), bandwidth_mbps=45 - 5e-9, num_videos=10, channels=3)
+        ) == []
+
+    def test_budget_rejects_what_max_channels_refuses(self):
+        # Short of four 0.1 Mbps channels by more than the tolerance.
+        assert max_channels(0.4 - 5e-10, 0.1, 1) == 3
+        msgs = self._budget_msgs(bandwidth_mbps=0.4 - 5e-10, consumption_rate_mbps=0.1, channels=4)
+        assert len(msgs) == 1 and "exceeds bandwidth_mbps" in msgs[0]
+
+    @given(
+        rate=st.floats(1e-3, 1e3),
+        num_videos=st.integers(1, 1000),
+        per_video=st.integers(1, 10_000),
+        nudge=st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9])
+        | st.floats(-1e-3, 1e-3),
+    )
+    def test_max_channels_validate_and_one_more_does_not(self, rate, num_videos, per_video, nudge):
+        # Bandwidths cluster around an exact fit of per_video channels,
+        # where the tolerance decides.
+        bandwidth = per_video * rate * num_videos * (1.0 + nudge)
+        k = max_channels(bandwidth, rate, num_videos)
+        fields = dict(bandwidth_mbps=bandwidth, consumption_rate_mbps=rate, num_videos=num_videos)
+        if k >= 1:
+            assert self._budget_msgs(channels=k, **fields) == []
+        assert len(self._budget_msgs(channels=k + 1, **fields)) == 1
 
     def test_zero_bandwidth(self):
         msgs = validate_config(dataclasses.replace(SimConfig(), bandwidth_mbps=0.0))
@@ -236,6 +275,19 @@ class TestRandomSource:
         a = src.substream("arrivals").random(16)
         b = src.substream("video-choice").random(16)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("label", ["arrivals", "placement", "video-choice", "cache-retention"])
+    def test_block_draws_equal_scalar_draws(self, label):
+        # A block draw may replace the engine's one-at-a-time draws only if
+        # it yields the same bits from the same substream.
+        n = 10_000
+        scale = MS_PER_MINUTE / SimConfig().arrival_rate_per_min
+        block, scalar = RandomSource(7).substream(label), RandomSource(7).substream(label)
+        assert block.random(n).tobytes() == np.array([scalar.random() for _ in range(n)]).tobytes()
+        assert (
+            block.exponential(scale, n).tobytes()
+            == np.array([scalar.exponential(scale) for _ in range(n)]).tobytes()
+        )
 
     def test_repr_names_generator(self):
         assert "PCG64" in repr(RandomSource(1))

@@ -5,6 +5,8 @@ timetable by hand: segments are 12 minutes, channel i starts at
 (i - 1) * 12 min, and somewhere a segment-1 slot opens every 12 minutes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,23 @@ class TestBuildPlan:
         plan = build_plan(_video(30), 1)
         assert plan.channel_offsets_ms == (0,)
         assert plan.cycle_ms == 30 * MIN
+
+    def test_plan_size_does_not_grow_with_channels(self):
+        # 50 minutes on 10**6 channels: 3 ms segments. A stored offset per
+        # channel would take tens of MB here, and validated channel counts
+        # reach 6 * 10**10.
+        video = _video(50)
+        tracemalloc.start()
+        try:
+            plan = build_plan(video, 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
+        assert plan.segment_duration_ms == 3 and plan.cycle_ms == 50 * MIN
+        last_start = (10**6 - 1) * 3
+        assert current_segment(plan, 10**6, last_start) == 1
+        assert current_segment(plan, 10**6, last_start + 3) == 2
 
     def test_epoch_shift(self):
         plan = build_plan(_video(60), 5, epoch_ms=5 * MIN)
@@ -172,8 +191,7 @@ class TestSlotFunctionsAgree:
         "plan",
         [
             build_plan(_video(1), 3),
-            BroadcastPlan(video_id=1, channels=4, segment_duration_ms=7, epoch_ms=5,
-                          channel_offsets_ms=(0, 7, 14, 21), cycle_ms=28),
+            BroadcastPlan(video_id=1, channels=4, segment_duration_ms=7, epoch_ms=5),
         ],
         ids=["1min-3ch", "7ms-4ch-epoch5"],
     )
