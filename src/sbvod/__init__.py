@@ -27,9 +27,7 @@ from .engine import MetricsReport, Simulation, SimulationError, run_simulation
 from .sb_scheduler import (
     BroadcastPlan,
     build_plan,
-    current_segment,
     max_channels,
-    next_first_segment_start,
     segment_duration_ms,
 )
 
@@ -56,14 +54,12 @@ __all__ = [
     "broadcast_analysis",
     "build_plan",
     "catalog_from_config",
-    "current_segment",
     "dedicated_stream_analysis",
     "derive_seed",
     "erlang_b",
     "hit_ratio",
     "load_config",
     "max_channels",
-    "next_first_segment_start",
     "normalize_scheme",
     "place_cache",
     "record_request",

@@ -8,7 +8,6 @@ fully applies or raises without touching the table.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 
@@ -59,15 +58,6 @@ class LpsTable:
             if e.lps_id == lps_id:
                 return e
         raise UnknownLpsError(f"no LPS with id {lps_id}")
-
-    def to_csv(self) -> str:
-        """Dump the table; client ids are sorted and joined with ';'."""
-        buf = io.StringIO()
-        buf.write("lps_id,name,address,request_count,client_ids\n")
-        for e in self.entries:
-            ids = ";".join(sorted(e.client_ids))
-            buf.write(f"{e.lps_id},{e.name},{e.address},{e.request_count},{ids}\n")
-        return buf.getvalue()
 
 
 def assign_lps(table: LpsTable) -> int:

@@ -20,7 +20,7 @@ from enum import Enum
 from typing import Mapping
 
 from . import balancer as _balancer
-from .domain import SimConfig
+from .domain import _CELL_SLACK, SimConfig
 from .sb_scheduler import BroadcastPlan, classify_arrival
 
 
@@ -57,10 +57,6 @@ class SourceKind(Enum):
     RELAY = "relay"
     POR = "por"
     LPS = "lps"
-
-
-class UnknownVideoError(ValueError):
-    pass
 
 
 # Fraction of viewers that retain the first segment under the sparse
@@ -104,17 +100,18 @@ class AcquisitionOutcome:
 class NeighborIndex:
     """Uniform-grid spatial index over a set of present clients.
 
-    Cell size equals the radio range, so every client within range of a
-    query point sits in one of the nine cells around it. Lookups return
+    Cells are a hair wider than the radio range, so every client within
+    range of a query point sits in one of the nine cells around it (the
+    derivation sits with ``domain._MAX_GRID_CELLS``). Lookups return
     candidate ids; exact range filtering is the caller's job. The engine
     keeps one index over every present client and one per video over its
     free holders only.
     """
 
-    def __init__(self, cell_m: float):
-        if cell_m <= 0:
-            raise ValueError("cell size must be positive")
-        self.cell_m = float(cell_m)
+    def __init__(self, range_m: float):
+        if range_m <= 0:
+            raise ValueError("range must be positive")
+        self.cell_m = range_m * (1.0 + _CELL_SLACK)
         self._cells: dict[tuple[int, int], list[int]] = {}
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
@@ -156,6 +153,7 @@ class WorldView:
     strategies only read them, so equal worlds produce equal outcomes.
     ``index`` holds every present client; ``free_holders[video_id]`` holds
     exactly the present clients that hold that video and are not uploading.
+    ``plan`` is the timetable every video shares.
     """
 
     now_ms: int
@@ -163,20 +161,10 @@ class WorldView:
     clients: Mapping[int, object]
     index: NeighborIndex
     free_holders: Mapping[int, NeighborIndex]
-    plans: Mapping[int, BroadcastPlan]
+    plan: BroadcastPlan
     lps_table: _balancer.LpsTable | None = None
     lps_pools: Mapping[int, object] | None = None
     por_pool: object | None = None
-
-    def present_snapshot(self) -> tuple:
-        """Canonical tuple of present clients, for comparisons in tests."""
-        rows = []
-        for cid in sorted(self.clients):
-            c = self.clients[cid]
-            rows.append(
-                (cid, c.position, c.video_id, bool(c.holder), bool(c.uploading))
-            )
-        return tuple(rows)
 
 
 def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
@@ -255,10 +243,7 @@ def acquire_first_segment(
     which is what makes their acquisition failures impossible while spare
     capacity exists.
     """
-    plan = world.plans.get(video_id)
-    if plan is None:
-        raise UnknownVideoError(f"no broadcast plan for video {video_id}")
-    arrival = classify_arrival(plan, world.now_ms)
+    arrival = classify_arrival(world.plan, world.now_ms)
     if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms

@@ -303,10 +303,10 @@ def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
     )
 
 
-def _print_aligned(pairs: list[tuple[str, object]], file=None) -> None:
+def _print_aligned(pairs: list[tuple[str, object]]) -> None:
     width = max(len(k) for k, _ in pairs)
     for key, value in pairs:
-        print(f"{key:<{width}}  {value}", file=file)
+        print(f"{key:<{width}}  {value}")
 
 
 def _report_pairs(report: MetricsReport) -> list[tuple[str, object]]:

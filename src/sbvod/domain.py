@@ -25,7 +25,7 @@ _PROB_TOL = 1e-9
 # most 53 ln 2 to an edge of 7.7), so a mean gap up to 2**1017 ms stays
 # finite. Grid cell keys stay exact while lf_radius / range is at most
 # 2**52. Squared distances within a 3x3 cell block are below
-# 8 * range**2, which stays finite up to a range of 2**509 m. A mean delay
+# 8 * cell**2, which stays finite up to a range of 2**509 m. A mean delay
 # past the float range raises, so latencies stop at 2**53 ms, far inside it.
 # Minute fields become ms that meet floats (buffer bits, video sizes, mean
 # delays), so m * 60000 must convert to a float: 60000 < 2**16, so
@@ -33,8 +33,27 @@ _PROB_TOL = 1e-9
 # least 1 ms, so channels stop at the longest video's length in ms,
 # 60000 * 2**1008, still below 2**1024. The channel budget turns
 # num_videos into a float too: float(2**1023) is finite, 2**1024 is not.
+#
+# Grid cells are a little wider than the range, so that every client in
+# range of a point sits in the 3x3 block of cells around it:
+# - From 2**-500 m up, squares near range**2 are normal floats, so a
+#   squared distance that rounds to at most range**2 means each coordinate
+#   differs by at most range * (1 + 2**-51), well inside the 2**-20 slack.
+#   Below 2**-500 m the squares underflow and "in range" loses its
+#   meaning, so ranges stop there.
+# - A key is floor(x / cell) with the quotient rounded. Key 0 ends a
+#   share 2**-54 short of a cell, inside the slack. Key 2**j, where the
+#   quotient's float spacing doubles, is e = cell * 2**(j - 54) narrower
+#   than a cell. But 2**j * cell is a position, and its neighbours are
+#   whole steps of g = 2**j * ulp(cell) > 2 * e, so the last position
+#   before key 2**j lies more than e below the key's start: positions one
+#   key either side of it still lie more than a cell apart. A hop in range
+#   spans at most range / g steps, fewer than a cell's, so the relay
+#   search's two-hop block (reach 2) holds there too.
 _MAX_MEAN_GAP_MS = 2.0**1017
 _MAX_GRID_CELLS = 2.0**52
+_CELL_SLACK = 2.0**-20
+_MIN_RANGE_M = 2.0**-500
 _MAX_RANGE_M = 2.0**509
 _MAX_LATENCY_MS = 2**53
 _MAX_MINUTES = 2**1008
@@ -182,6 +201,11 @@ def validate_config(cfg: SimConfig) -> list[str]:
         out.append("lf_radius_m must be positive")
     if cfg.client_range_m <= 0:
         out.append("client_range_m must be positive")
+    elif cfg.client_range_m < _MIN_RANGE_M:
+        out.append(
+            f"client_range_m = {cfg.client_range_m:g} is too small:"
+            " squared distances underflow a float below 2**-500 m"
+        )
     elif cfg.client_range_m > _MAX_RANGE_M:
         out.append(
             f"client_range_m = {cfg.client_range_m:g} is too large:"

@@ -39,7 +39,7 @@ from .domain import (
     catalog_from_config,
     validate_config,
 )
-from .sb_scheduler import BroadcastPlan, build_plan, classify_arrival
+from .sb_scheduler import build_plan, classify_arrival
 
 
 class SimulationError(RuntimeError):
@@ -141,9 +141,8 @@ class Simulation:
         self.trace = trace
 
         self.videos: dict[int, VideoSpec] = {v.id: v for v in catalog_from_config(cfg)}
-        self.plans: dict[int, BroadcastPlan] = {
-            vid: build_plan(v, cfg.channels, epoch_ms=0) for vid, v in self.videos.items()
-        }
+        # Every video has the config's length and channel count: one timetable.
+        self.plan = build_plan(self.videos[1], cfg.channels)
         total = sum(v.popularity for v in self.videos.values())
         self._video_ids = list(self.videos)
         shares = (v.popularity / total for v in self.videos.values())
@@ -180,7 +179,7 @@ class Simulation:
             clients=self.clients,
             index=self.index,
             free_holders=self.free_holders,
-            plans=self.plans,
+            plan=self.plan,
             lps_table=self.lps_table,
             lps_pools=self.lps_pools,
             por_pool=self.por_pool,
@@ -270,7 +269,7 @@ class Simulation:
         self.index.add(cid, c.position)
         self.arrived += 1
 
-        cls = classify_arrival(self.plans[video_id], self.now)
+        cls = classify_arrival(self.plan, self.now)
         self._trace("arrival", cid, f"video={video_id} missed={cls.missed_ms}")
 
         if cls.on_time:

@@ -110,15 +110,6 @@ class TestTable:
         with pytest.raises(Exception, match="duplicate lps_id"):
             LpsTable([LpsEntry(1, "a", "h:1"), LpsEntry(1, "b", "h:2")])
 
-    def test_csv_dump(self):
-        t = LpsTable([LpsEntry(1, "LPS1", "10.0.0.1:8554")])
-        record_request(t, 1, "C2")
-        record_request(t, 1, "C1")
-        assert t.to_csv() == (
-            "lps_id,name,address,request_count,client_ids\n"
-            "1,LPS1,10.0.0.1:8554,2,C1;C2\n"
-        )
-
 
 class TestRandomizedModel:
     """Drive the table with valid random traffic against a model dict."""

@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sbvod.domain import (
+    _MAX_CHANNELS,
     MS_PER_MINUTE,
     ConfigError,
     QualityLevel,
@@ -112,21 +113,32 @@ class TestValidateConfig:
         assert len(msgs) == 1 and "exceeds bandwidth_mbps" in msgs[0]
 
     @given(
-        rate=st.floats(1e-3, 1e3),
+        rate=st.floats(5e-324, 1e3),
         num_videos=st.integers(1, 1000),
         per_video=st.integers(1, 10_000),
         nudge=st.sampled_from([0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9])
         | st.floats(-1e-3, 1e-3),
+        bandwidth=st.none() | st.floats(1e-3, 1e3),
     )
-    def test_max_channels_validate_and_one_more_does_not(self, rate, num_videos, per_video, nudge):
+    @example(rate=1e-308, num_videos=1, per_video=1, nudge=0.0, bandwidth=54.0)
+    def test_max_channels_validate_and_one_more_does_not(
+        self, rate, num_videos, per_video, nudge, bandwidth
+    ):
         # Bandwidths cluster around an exact fit of per_video channels,
-        # where the tolerance decides.
-        bandwidth = per_video * rate * num_videos * (1.0 + nudge)
+        # where the tolerance decides, unless one is drawn outright. Then a
+        # vanishing rate fits more channels than any config may have.
+        if bandwidth is None:
+            bandwidth = per_video * rate * num_videos * (1.0 + nudge)
         k = max_channels(bandwidth, rate, num_videos)
+        assert isinstance(k, int) and 0 <= k <= _MAX_CHANNELS
         fields = dict(bandwidth_mbps=bandwidth, consumption_rate_mbps=rate, num_videos=num_videos)
         if k >= 1:
             assert self._budget_msgs(channels=k, **fields) == []
-        assert len(self._budget_msgs(channels=k + 1, **fields)) == 1
+        if k == _MAX_CHANNELS:
+            msgs = validate_config(dataclasses.replace(SimConfig(), channels=k + 1, **fields))
+            assert msgs[0].startswith("channels must be at most")
+        else:
+            assert len(self._budget_msgs(channels=k + 1, **fields)) == 1
 
     def test_zero_bandwidth(self):
         msgs = validate_config(dataclasses.replace(SimConfig(), bandwidth_mbps=0.0))
@@ -189,6 +201,13 @@ class TestValidateConfig:
     )
     def test_float_limits_are_inclusive(self, field, value):
         assert validate_config(dataclasses.replace(SimConfig(), **{field: value})) == []
+
+    def test_range_whose_square_underflows_rejected(self):
+        # Two clients 1e-170 m apart square to 0, "within" a 1e-300 m range.
+        small = dict(lf_radius_m=1e-290)
+        msgs = validate_config(dataclasses.replace(SimConfig(), client_range_m=1e-300, **small))
+        assert len(msgs) == 1 and msgs[0].startswith("client_range_m")
+        assert validate_config(dataclasses.replace(SimConfig(), client_range_m=2.0**-500, **small)) == []
 
     # Each limit at its exact value, with the companions it needs to fit the
     # channel budget and the segment rule, then one step past it.

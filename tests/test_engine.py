@@ -23,7 +23,7 @@ from sbvod.engine import (
     classify_arrival,
     run_simulation,
 )
-from sbvod.sb_scheduler import BeforeStartError, build_plan
+from sbvod.sb_scheduler import build_plan
 from sbvod.domain import QualityLevel, VideoSpec
 
 MIN = MS_PER_MINUTE
@@ -45,22 +45,18 @@ def short_cfg(**overrides):
 class TestClassifyArrival:
     def test_at_epoch_is_on_time(self):
         cls = classify_arrival(_plan_60_5(), 0)
-        assert cls.on_time and cls.channel == 1 and cls.missed_ms == 0
+        assert cls.on_time and cls.missed_ms == 0
 
     def test_five_minutes_in_is_late_on_channel_one(self):
+        # Channel 1 opened segment 1 at 0; channel 2 opens it at 12 min.
         cls = classify_arrival(_plan_60_5(), 5 * MIN)
         assert not cls.on_time
-        assert cls.channel == 1
         assert cls.missed_ms == 5 * MIN
+        assert cls.wait_ms == 7 * MIN
 
     def test_slot_boundary_is_on_time_next_channel(self):
         cls = classify_arrival(_plan_60_5(), 12 * MIN)
-        assert cls.on_time and cls.channel == 2
-
-    def test_before_epoch_rejected(self):
-        plan = dataclasses.replace(_plan_60_5(), epoch_ms=1000)
-        with pytest.raises(BeforeStartError):
-            classify_arrival(plan, 500)
+        assert cls.on_time and cls.wait_ms == 0
 
 
 class TestStreamPool:
@@ -241,14 +237,13 @@ class TestSimulationLifecycle:
 
     def test_fresh_simulation_has_no_clients(self):
         sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
-        assert sim.world_view().present_snapshot() == ()
+        assert sim.clients == {}
 
     def test_one_arrival_one_present_client(self):
         sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
         sim._schedule_next_arrival(from_ms=0)
         assert sim.step()
-        snap = sim.world_view().present_snapshot()
-        assert len(snap) == 1
+        assert len(sim.clients) == 1
 
     def test_one_world_view_per_run_follows_the_clock(self):
         sim = Simulation(short_cfg(), SchemeId.PROXY_CACHE)
@@ -259,14 +254,6 @@ class TestSimulationLifecycle:
             assert sim.world_view() is view
             assert view.now_ms == sim.now
         assert sim.now > 0
-
-    def test_snapshot_taken_twice_is_identical(self):
-        sim = Simulation(short_cfg(), SchemeId.ALL_CACHE)
-        sim._schedule_next_arrival(from_ms=0)
-        for _ in range(40):
-            if not sim.step():
-                break
-        assert sim.world_view().present_snapshot() == sim.world_view().present_snapshot()
 
 
 class TestRunMetrics:
