@@ -73,7 +73,8 @@ class AcquisitionOutcome:
     playable data. A failed attempt always falls back to the broadcast
     slot, so ``failed`` implies ``source_kind == CHANNEL_SLOT`` and the
     delay includes both the slot wait and the probe hops that were spent
-    discovering there was nothing better.
+    discovering there was nothing better. Only channel-slot outcomes set
+    ``slot_wait_ms``.
     """
 
     source_kind: SourceKind
@@ -152,7 +153,8 @@ class WorldView:
     clients, indexes and pools are the engine's own objects, not copies;
     strategies only read them, so equal worlds produce equal outcomes.
     ``index`` holds every present client; ``free_holders[video_id]`` holds
-    exactly the present clients that hold that video and are not uploading.
+    exactly the present clients that hold that video and are not uploading
+    (the engine's mapping makes an empty grid on a video's first lookup).
     ``plan`` is the timetable every video shares.
     """
 
@@ -185,9 +187,14 @@ def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
-                         index: NeighborIndex):
-    """(dist2, id, record) for each client of ``index`` in radio range, nearest first."""
+                         index: NeighborIndex, until_ms: int):
+    """(dist2, id, record) for each client of ``index`` in radio range, nearest first.
+
+    A client whose playback ends before ``until_ms`` departs before a
+    transfer ending then would, so it is left out.
+    """
     r2 = world.cfg.client_range_m**2
+    cycle_ms = world.plan.cycle_ms
     clients = world.clients
     out = []
     for cid in index.ids_near(pos):
@@ -195,25 +202,29 @@ def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: in
             continue
         rec = clients[cid]
         d2 = _dist2(pos, rec.position)
-        if d2 <= r2:
+        if d2 <= r2 and rec.playback_start_ms + cycle_ms >= until_ms:
             out.append((d2, cid, rec))
     out.sort()  # ids are unique, so records are never compared
     return out
 
 
-def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int):
-    found = _candidates_in_range(world, pos, skip_id, world.free_holders[video_id])
+def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, until_ms: int):
+    found = _candidates_in_range(world, pos, skip_id, world.free_holders[video_id], until_ms)
     return found[0][1] if found else None
 
 
-def _find_relay(world: WorldView, client, video_id: int):
-    """First (via, holder) pair reachable in two hops, nearest-first."""
+def _find_relay(world: WorldView, client, until_ms: int):
+    """First (via, holder) pair reachable in two hops, nearest-first.
+
+    Both must stay present until ``until_ms``, when the relayed transfer ends.
+    """
     # A via sits within one cell of the client and its holder within one
     # cell of the via, so no holder within two cells means no relay.
-    if next(world.free_holders[video_id].ids_near(client.position, 2), None) is None:
+    if next(world.free_holders[client.video_id].ids_near(client.position, 2), None) is None:
         return None
-    for _d2, zid, zrec in _candidates_in_range(world, client.position, client.id, world.index):
-        holder = _nearest_free_holder(world, zrec.position, video_id, zid)
+    near = _candidates_in_range(world, client.position, client.id, world.index, until_ms)
+    for _d2, zid, zrec in near:
+        holder = _nearest_free_holder(world, zrec.position, client.video_id, zid, until_ms)
         if holder is not None and holder != client.id:
             return zid, holder
     return None
@@ -232,9 +243,7 @@ def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) ->
     )
 
 
-def acquire_first_segment(
-    scheme: SchemeId, client, video_id: int, world: WorldView
-) -> AcquisitionOutcome:
+def acquire_first_segment(scheme: SchemeId, client, world: WorldView) -> AcquisitionOutcome:
     """Decide how a late client obtains the opening of segment 1.
 
     The client missed the current segment-1 slot by some margin; every
@@ -254,17 +263,19 @@ def acquire_first_segment(
         return _slot_outcome(scheme, wait_ms, latency, failed=False)
 
     if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
-        holder = _nearest_free_holder(world, client.position, video_id, client.id)
+        # A transfer ends its startup delay (two hops, three via a relay)
+        # plus the fetch after now.
+        holder = _nearest_free_holder(world, client.position, client.video_id, client.id,
+                                      world.now_ms + 2 * latency + fetch_ms)
         if holder is not None:
             return AcquisitionOutcome(
                 source_kind=SourceKind.NEIGHBOR,
                 startup_delay_ms=2 * latency,
                 holder_id=holder,
-                slot_wait_ms=wait_ms,
                 fetch_ms=fetch_ms,
             )
         if scheme is SchemeId.DSC_CACHE:
-            relay = _find_relay(world, client, video_id)
+            relay = _find_relay(world, client, world.now_ms + 3 * latency + fetch_ms)
             if relay is not None:
                 via, holder = relay
                 return AcquisitionOutcome(
@@ -272,7 +283,6 @@ def acquire_first_segment(
                     startup_delay_ms=3 * latency,
                     holder_id=holder,
                     via_id=via,
-                    slot_wait_ms=wait_ms,
                     fetch_ms=fetch_ms,
                 )
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
@@ -296,14 +306,13 @@ def acquire_first_segment(
         source_kind=kind,
         startup_delay_ms=hops * latency + queue_wait,
         lps_id=lps_id,
-        slot_wait_ms=wait_ms,
         queue_wait_ms=queue_wait,
         fetch_ms=fetch_ms,
     )
 
 
-def on_playback_started(scheme: SchemeId, client, video_id: int, world: WorldView, rng) -> bool:
-    """Whether this client keeps segment 1 available for others.
+def on_playback_started(scheme: SchemeId, world: WorldView, rng) -> bool:
+    """Whether the client starting playback keeps segment 1 available for others.
 
     Called exactly once per client at the instant playback begins. The
     probabilistic schemes consume one draw from ``rng``; the others leave

@@ -31,8 +31,10 @@ _PROB_TOL = 1e-9
 # delays), so m * 60000 must convert to a float: 60000 < 2**16, so
 # horizons and video lengths stop at 2**1008 minutes. A segment lasts at
 # least 1 ms, so channels stop at the longest video's length in ms,
-# 60000 * 2**1008, still below 2**1024. The channel budget turns
-# num_videos into a float too: float(2**1023) is finite, 2**1024 is not.
+# 60000 * 2**1008, still below 2**1024. The analytic model builds, places
+# and reports a catalog entry per video: `sbvod analyze` over 10**5 videos
+# took 1.25 s and 101 MB max RSS (2-vCPU Xeon, Python 3.11.7), so videos
+# stop there.
 #
 # Grid cells are a little wider than the range, so that every client in
 # range of a point sits in the 3x3 block of cells around it:
@@ -58,7 +60,7 @@ _MAX_RANGE_M = 2.0**509
 _MAX_LATENCY_MS = 2**53
 _MAX_MINUTES = 2**1008
 _MAX_CHANNELS = MS_PER_MINUTE * _MAX_MINUTES
-_MAX_VIDEOS = 2**1023
+_MAX_VIDEOS = 10**5
 
 
 class ConfigError(ValueError):
@@ -118,10 +120,6 @@ class VideoSpec:
             raise ValueError(
                 f"quality request probabilities must sum to 1 (got {total!r})"
             )
-
-    @property
-    def length_ms(self) -> int:
-        return self.length_minutes * MS_PER_MINUTE
 
 
 @dataclass(frozen=True)
@@ -192,7 +190,7 @@ def validate_config(cfg: SimConfig) -> list[str]:
     if cfg.num_videos < 1:
         out.append("num_videos must be at least 1")
     elif cfg.num_videos > _MAX_VIDEOS:
-        out.append("num_videos must be at most 2**1023")
+        out.append("num_videos must be at most 10**5")
     if cfg.num_lps < 1:
         out.append("num_lps must be at least 1")
     if cfg.lps_capacity < 1:
@@ -320,33 +318,34 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, generator=PCG64)"
 
 
+def zipf_popularity(n: int) -> list[float]:
+    """Request shares of videos 1..n on a Zipf-like 1/rank curve (Breslau et al. 1999)."""
+    harmonic = sum(1.0 / k for k in range(1, n + 1))
+    return [(1.0 / k) / harmonic for k in range(1, n + 1)]
+
+
 def catalog_from_config(cfg: SimConfig) -> tuple[VideoSpec, ...]:
     """Build the default video catalog for a config.
 
-    Popularity follows a 1/rank curve normalised over ``num_videos``, the
-    usual shape for VOD request skew. Each video carries a single quality
-    at the consumption rate.
+    Popularity follows :func:`zipf_popularity` over ``num_videos``. Each
+    video carries a single quality at the consumption rate.
     """
-    n = cfg.num_videos
-    harmonic = sum(1.0 / k for k in range(1, n + 1))
     rate_bps = cfg.consumption_rate_mbps * BITS_PER_MEGABIT
     size_bits = cfg.video_length_minutes * 60 * rate_bps
-    videos = []
-    for k in range(1, n + 1):
-        videos.append(
-            VideoSpec(
-                id=k,
-                length_minutes=cfg.video_length_minutes,
-                consumption_rate_mbps=cfg.consumption_rate_mbps,
-                popularity=(1.0 / k) / harmonic,
-                qualities=(
-                    QualityLevel(
-                        q_index=1,
-                        stream_rate_bps=rate_bps,
-                        size_bits=size_bits,
-                        request_prob=1.0,
-                    ),
+    return tuple(
+        VideoSpec(
+            id=k,
+            length_minutes=cfg.video_length_minutes,
+            consumption_rate_mbps=cfg.consumption_rate_mbps,
+            popularity=popularity,
+            qualities=(
+                QualityLevel(
+                    q_index=1,
+                    stream_rate_bps=rate_bps,
+                    size_bits=size_bits,
+                    request_prob=1.0,
                 ),
-            )
+            ),
         )
-    return tuple(videos)
+        for k, popularity in enumerate(zipf_popularity(cfg.num_videos), start=1)
+    )

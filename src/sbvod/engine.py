@@ -18,9 +18,10 @@ import bisect
 import heapq
 import itertools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Callable, TextIO
 
 from . import balancer, caching
@@ -35,9 +36,8 @@ from .domain import (
     MS_PER_MINUTE,
     RandomSource,
     SimConfig,
-    VideoSpec,
-    catalog_from_config,
     validate_config,
+    zipf_popularity,
 )
 from .sb_scheduler import build_plan, classify_arrival
 
@@ -140,13 +140,11 @@ class Simulation:
         self.scheme = scheme
         self.trace = trace
 
-        self.videos: dict[int, VideoSpec] = {v.id: v for v in catalog_from_config(cfg)}
         # Every video has the config's length and channel count: one timetable.
-        self.plan = build_plan(self.videos[1], cfg.channels)
-        total = sum(v.popularity for v in self.videos.values())
-        self._video_ids = list(self.videos)
-        shares = (v.popularity / total for v in self.videos.values())
-        self._video_edges = list(itertools.accumulate(shares))
+        self.plan = build_plan(cfg.video_length_minutes, cfg.channels)
+        popularity = zipf_popularity(cfg.num_videos)
+        total = sum(popularity)
+        self._video_edges = list(itertools.accumulate(p / total for p in popularity))
         self._video_edges[-1] = 1.0
 
         source = RandomSource(cfg.seed)
@@ -161,17 +159,15 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
         self.clients: dict[int, ClientRecord] = {}
         self.index = NeighborIndex(cfg.client_range_m)
-        # Per video: exactly the present clients with holder and not uploading.
-        self.free_holders = {vid: NeighborIndex(cfg.client_range_m) for vid in self.videos}
-        self._next_client_id = 1
+        # Per video: exactly the present clients with holder and not uploading,
+        # in a grid made the first time the video is looked up.
+        self.free_holders = defaultdict(partial(NeighborIndex, cfg.client_range_m))
 
+        lps_ids = range(1, cfg.num_lps + 1)
         self.lps_table = balancer.LpsTable(
-            [
-                balancer.LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554")
-                for i in range(1, cfg.num_lps + 1)
-            ]
+            [balancer.LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554") for i in lps_ids]
         )
-        self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in range(1, cfg.num_lps + 1)}
+        self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in lps_ids}
         self.por_pool = StreamPool(cfg.lps_capacity)
         self._world = WorldView(
             now_ms=0,
@@ -190,8 +186,7 @@ class Simulation:
         self.arrived = 0
         self.departed = 0
 
-        # Post-warmup accumulators.
-        self._n_counted = 0
+        # Post-warmup accumulators; every counted arrival has one outcome.
         self._delay_sum = 0
         self._attempts = 0
         self._failures = 0
@@ -201,8 +196,8 @@ class Simulation:
     # -- setup helpers ----------------------------------------------------
 
     def _draw_video(self) -> int:
-        # The first video whose cumulative share reaches the draw.
-        return self._video_ids[bisect.bisect_left(self._video_edges, self._rng_video.random())]
+        # The first video whose cumulative share reaches the draw; ids are 1-based.
+        return bisect.bisect_left(self._video_edges, self._rng_video.random()) + 1
 
     def _draw_position(self) -> tuple[float, float]:
         r = self.cfg.lf_radius_m * math.sqrt(self._rng_place.random())
@@ -256,21 +251,15 @@ class Simulation:
 
     def _on_arrival(self, _client_id: int) -> None:
         self._schedule_next_arrival(from_ms=self.now)
-        cid = self._next_client_id
-        self._next_client_id += 1
-        video_id = self._draw_video()
-        c = ClientRecord(
-            id=cid,
-            arrival_ms=self.now,
-            position=self._draw_position(),
-            video_id=video_id,
-        )
+        self.arrived += 1
+        cid = self.arrived
+        c = ClientRecord(id=cid, arrival_ms=self.now, position=self._draw_position(),
+                         video_id=self._draw_video())
         self.clients[cid] = c
         self.index.add(cid, c.position)
-        self.arrived += 1
 
         cls = classify_arrival(self.plan, self.now)
-        self._trace("arrival", cid, f"video={video_id} missed={cls.missed_ms}")
+        self._trace("arrival", cid, f"video={c.video_id} missed={cls.missed_ms}")
 
         if cls.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
@@ -279,7 +268,7 @@ class Simulation:
             self._begin_playback(c)
             return
 
-        outcome = caching.acquire_first_segment(self.scheme, c, video_id, self.world_view())
+        outcome = caching.acquire_first_segment(self.scheme, c, self.world_view())
         self._apply_outcome(c, outcome)
 
     def _apply_outcome(self, c: ClientRecord, out: AcquisitionOutcome) -> None:
@@ -350,12 +339,11 @@ class Simulation:
     def _on_fetch_complete(self, client_id: int) -> None:
         c = self.clients[client_id]
         if c.fetch_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
-            holder = self.clients.get(c.fetch_holder_id)
-            if holder is not None:
-                if not holder.uploading:
-                    raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
-                holder.uploading = False
-                self.free_holders[holder.video_id].add(holder.id, holder.position)
+            holder = self.clients[c.fetch_holder_id]
+            if not holder.uploading:
+                raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
+            holder.uploading = False
+            self.free_holders[holder.video_id].add(holder.id, holder.position)
         elif c.fetch_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
         self._trace("fetch_complete", c.id)
@@ -363,11 +351,11 @@ class Simulation:
 
     def _begin_playback(self, c: ClientRecord) -> None:
         c.state = ClientState.PLAYING
-        if caching.on_playback_started(self.scheme, c, c.video_id, self.world_view(), self._rng_cache):
+        if caching.on_playback_started(self.scheme, self.world_view(), self._rng_cache):
             c.holder = True
             self.free_holders[c.video_id].add(c.id, c.position)
-        video = self.videos[c.video_id]
-        self._schedule(c.playback_start_ms + video.length_ms, self._on_playback_end, c.id)
+        # One cycle of K segments of duration D is the whole video.
+        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_playback_end, c.id)
 
     def _on_playback_end(self, client_id: int) -> None:
         self._trace("playback_end", client_id)
@@ -375,8 +363,10 @@ class Simulation:
 
     def _on_departure(self, client_id: int) -> None:
         c = self.clients[client_id]
+        if c.uploading:
+            raise SimulationError(f"holder {c.id} departed mid-upload")
         self.index.remove(c.id, c.position)
-        if c.holder and not c.uploading:
+        if c.holder:
             self.free_holders[c.video_id].remove(c.id, c.position)
         del self.clients[c.id]
         self.departed += 1
@@ -391,7 +381,6 @@ class Simulation:
     ) -> None:
         if c.arrival_ms <= self.warmup_ms:
             return
-        self._n_counted += 1
         self._delay_sum += delay_ms
         self._outcomes[source.value] += 1
         if attempt:
@@ -400,7 +389,7 @@ class Simulation:
                 self._failures += 1
 
     def _build_report(self) -> MetricsReport:
-        n = self._n_counted
+        n = sum(self._outcomes.values())
         mean = (self._delay_sum / n) if n else None
         if n == 0:
             failure = None

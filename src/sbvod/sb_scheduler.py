@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .domain import _MAX_CHANNELS, MS_PER_MINUTE, VideoSpec
+from .domain import _MAX_CHANNELS, MS_PER_MINUTE
 
 
 class NonDivisibleError(ValueError):
@@ -64,10 +64,10 @@ def max_channels(bandwidth_mbps: float, transmission_rate_mbps: float, num_video
     return _MAX_CHANNELS if per_video > _MAX_CHANNELS else math.floor(per_video)
 
 
-def build_plan(video: VideoSpec, channels: int) -> BroadcastPlan:
+def build_plan(video_length_minutes: int, channels: int) -> BroadcastPlan:
     return BroadcastPlan(
         channels=channels,
-        segment_duration_ms=segment_duration_ms(video.length_minutes, channels),
+        segment_duration_ms=segment_duration_ms(video_length_minutes, channels),
     )
 
 

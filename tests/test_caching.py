@@ -27,18 +27,14 @@ from sbvod.caching import (
     normalize_scheme,
     on_playback_started,
 )
-from sbvod.domain import MS_PER_MINUTE, QualityLevel, RandomSource, SimConfig, VideoSpec
+from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
 from sbvod.engine import ClientRecord, StreamPool
 from sbvod.sb_scheduler import build_plan
 
 MIN = MS_PER_MINUTE
 LATENCY = 20
-
-
-def _video(vid=1, minutes=60):
-    q = QualityLevel(q_index=1, stream_rate_bps=1.5e6, size_bits=minutes * 60 * 1.5e6, request_prob=1.0)
-    return VideoSpec(id=vid, length_minutes=minutes, consumption_rate_mbps=1.5,
-                     popularity=1.0, qualities=(q,))
+# ceil(5 min * 1.5 / 54): the fetch of a client 5 minutes late.
+_FETCH_5_MIN = 8_334
 
 
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
@@ -64,15 +60,17 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
         clients={c.id: c for c in clients},
         index=index,
         free_holders=free_holders,
-        plan=build_plan(_video(), 5),
+        plan=build_plan(60, 5),
         lps_table=table,
         lps_pools=lps_pools,
         por_pool=por_pool,
     )
 
 
-def client(cid, x=0.0, y=0.0, holder=False, uploading=False, video_id=1):
-    c = ClientRecord(id=cid, arrival_ms=0, position=(x, y), video_id=video_id)
+def client(cid, x=0.0, y=0.0, holder=False, uploading=False, video_id=1, playback_start_ms=0):
+    # Playing since 0, a client stays until the 60-minute video ends.
+    c = ClientRecord(id=cid, arrival_ms=0, position=(x, y), video_id=video_id,
+                     playback_start_ms=playback_start_ms)
     c.holder = holder
     c.uploading = uploading
     return c
@@ -134,7 +132,7 @@ class TestNoCache:
     def test_five_minutes_late_waits_seven(self):
         newcomer = client(99, 0.0, 0.0)
         world = make_world([newcomer], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.NO_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.NO_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.CHANNEL_SLOT
         assert out.startup_delay_ms == 7 * MIN
         assert not out.failed
@@ -143,14 +141,14 @@ class TestNoCache:
         newcomer = client(99)
         world = make_world([newcomer], now_ms=12 * MIN)
         with pytest.raises(ValueError, match="late clients"):
-            acquire_first_segment(SchemeId.NO_CACHE, newcomer, 1, world)
+            acquire_first_segment(SchemeId.NO_CACHE, newcomer, world)
 
 
 class TestNeighborSchemes:
     def test_free_holder_two_hops(self):
         newcomer = client(1, 0.0, 0.0)
         world = make_world([newcomer, client(2, 10.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.startup_delay_ms == 2 * LATENCY == 40
         assert out.holder_id == 2
@@ -161,7 +159,7 @@ class TestNeighborSchemes:
         world = make_world(
             [newcomer, client(2, 12.0, 0.0, holder=True), client(3, 5.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_equidistant_tie_breaks_to_smaller_id(self):
@@ -169,13 +167,13 @@ class TestNeighborSchemes:
         world = make_world(
             [newcomer, client(5, 0.0, 8.0, holder=True), client(3, 8.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_zero_clients_fails_with_probe_cost(self):
         newcomer = client(1)
         world = make_world([], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
         assert out.source_kind is SourceKind.CHANNEL_SLOT
         assert out.startup_delay_ms == 7 * MIN + 1 * LATENCY
@@ -186,31 +184,51 @@ class TestNeighborSchemes:
             [newcomer, client(2, 5.0, 0.0, holder=True, uploading=True),
              client(3, 15.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_only_uploading_holders_means_failure(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 5.0, 0.0, holder=True, uploading=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
 
     def test_out_of_range_holder_ignored(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 26.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
 
     def test_holder_of_other_video_ignored(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 5.0, 0.0, holder=True, video_id=2)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
+
+    def test_holder_leaving_before_transfer_ends_is_skipped(self):
+        # 65 min is 5 min late, like 5 min: the fetch takes 8,334 ms and the
+        # transfer ends 40 ms + 8,334 ms from now. Holder 2 started at 5 min
+        # and leaves at 65 min, so the farther holder 3 serves.
+        now = 65 * MIN
+        newcomer = client(1, playback_start_ms=None)
+        leaving = client(2, 5.0, 0.0, holder=True, playback_start_ms=5 * MIN)
+        staying = client(3, 15.0, 0.0, holder=True, playback_start_ms=10 * MIN)
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying], now_ms=now))
+        assert out.holder_id == 3
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+                                    make_world([newcomer, leaving], now_ms=now))
+        assert out.failed
+        # A holder whose playback ends as the transfer ends still serves it.
+        leaving.playback_start_ms = now + 2 * LATENCY + _FETCH_5_MIN - 60 * MIN
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying], now_ms=now))
+        assert out.holder_id == 2
 
     def test_random_cache_uses_same_search(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 10.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.RANDOM_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.RANDOM_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.startup_delay_ms == 40
 
@@ -222,11 +240,31 @@ class TestDscRelay:
         via = client(2, 20.0, 0.0)
         holder = client(3, 40.0, 0.0, holder=True)
         world = make_world([newcomer, via, holder])
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.RELAY
         assert out.startup_delay_ms == 3 * LATENCY == 60
         assert out.via_id == 2
         assert out.holder_id == 3
+
+    def test_via_leaving_before_transfer_ends_is_skipped(self):
+        # The relayed transfer ends 60 ms + 8,334 ms after 65 min. Via 2 is
+        # nearest but leaves at 65 min, so the relay goes through via 3.
+        now = 65 * MIN
+        newcomer = client(1, playback_start_ms=None)
+        leaving = client(2, 20.0, 0.0, playback_start_ms=5 * MIN)
+        staying = client(3, 20.0, 5.0, playback_start_ms=10 * MIN)
+        holder = client(4, 40.0, 0.0, holder=True, playback_start_ms=10 * MIN)
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+        assert (out.via_id, out.holder_id) == (3, 4)
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+                                    make_world([newcomer, leaving, holder], now_ms=now))
+        assert out.failed
+        # A relay holder that leaves first is skipped the same way.
+        holder.playback_start_ms = 5 * MIN
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+        assert out.failed
 
     def test_direct_holder_preferred_over_relay(self):
         newcomer = client(1)
@@ -234,14 +272,14 @@ class TestDscRelay:
             [newcomer, client(2, 10.0, 0.0, holder=True), client(3, 20.0, 0.0),
              client(4, 40.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.holder_id == 2
 
     def test_failure_burns_two_probe_hops(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 20.0, 0.0)], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == 7 * MIN + 2 * LATENCY
 
@@ -256,14 +294,14 @@ class TestDscRelay:
             ]
             newcomer = client(1, rng.uniform(-30, 30), rng.uniform(-30, 30))
             world = make_world([newcomer] + people)
-            direct = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, 1, world)
-            relayed = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, 1, world)
+            direct = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+            relayed = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
             if not direct.failed:
                 assert not relayed.failed
 
 
-def _ref_candidates(world, pos, skip_id):
-    """Every present client in range, sorted by (dist2, id): the search as first written."""
+def _ref_candidates(world, pos, skip_id, until_ms):
+    """Every present client in range that stays until ``until_ms``, sorted by (dist2, id)."""
     r2 = world.cfg.client_range_m**2
     out = []
     for cid in world.index.ids_near(pos):
@@ -273,22 +311,22 @@ def _ref_candidates(world, pos, skip_id):
         if rec is None:
             continue
         d2 = (pos[0] - rec.position[0]) ** 2 + (pos[1] - rec.position[1]) ** 2
-        if d2 <= r2:
+        if d2 <= r2 and rec.playback_start_ms + 60 * MIN >= until_ms:
             out.append((d2, cid, rec))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
 
 
-def _ref_nearest_free_holder(world, pos, video_id, skip_id):
-    for _d2, cid, rec in _ref_candidates(world, pos, skip_id):
+def _ref_nearest_free_holder(world, pos, video_id, skip_id, until_ms):
+    for _d2, cid, rec in _ref_candidates(world, pos, skip_id, until_ms):
         if rec.holder and rec.video_id == video_id and not rec.uploading:
             return cid
     return None
 
 
-def _ref_find_relay(world, newcomer, video_id):
-    for _d2, zid, zrec in _ref_candidates(world, newcomer.position, newcomer.id):
-        holder = _ref_nearest_free_holder(world, zrec.position, video_id, zid)
+def _ref_find_relay(world, newcomer, video_id, until_ms):
+    for _d2, zid, zrec in _ref_candidates(world, newcomer.position, newcomer.id, until_ms):
+        holder = _ref_nearest_free_holder(world, zrec.position, video_id, zid, until_ms)
         if holder is not None and holder != newcomer.id:
             return zid, holder
     return None
@@ -296,11 +334,12 @@ def _ref_find_relay(world, newcomer, video_id):
 
 def _ref_outcome(scheme, newcomer, world):
     """(kind, holder, via, failed, delay) the reference search leads to, 5 minutes late."""
-    holder = _ref_nearest_free_holder(world, newcomer.position, 1, newcomer.id)
+    done = world.now_ms + _FETCH_5_MIN  # plus the hops to the source
+    holder = _ref_nearest_free_holder(world, newcomer.position, 1, newcomer.id, done + 2 * LATENCY)
     if holder is not None:
         return SourceKind.NEIGHBOR, holder, None, False, 2 * LATENCY
     if scheme is SchemeId.DSC_CACHE:
-        relay = _ref_find_relay(world, newcomer, 1)
+        relay = _ref_find_relay(world, newcomer, 1, done + 3 * LATENCY)
         if relay is not None:
             return SourceKind.RELAY, relay[1], relay[0], False, 3 * LATENCY
     hops = 2 if scheme is SchemeId.DSC_CACHE else 1
@@ -315,20 +354,26 @@ def _random_point(rng):
     return rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
 
 
+_STARTS = (5 * MIN, 5 * MIN + 2 * LATENCY + _FETCH_5_MIN) + (10 * MIN,) * 6
+
+
 def test_search_matches_sort_every_candidate_reference():
     rng = random.Random(4)
     kinds = {k: 0 for k in SourceKind}
     for _ in range(600):
         held, busy = rng.random(), rng.random()
+        # At 65 min, playback that started at 5 min has ended; one that
+        # started 40 ms + a fetch later ends as a direct transfer would.
         people = [
             client(cid, *_random_point(rng), holder=rng.random() < held,
-                   uploading=rng.random() < busy, video_id=rng.randint(1, 3))
+                   uploading=rng.random() < busy, video_id=rng.randint(1, 3),
+                   playback_start_ms=rng.choice(_STARTS))
             for cid in rng.sample(range(2, 200), rng.randint(0, 50))
         ]
         newcomer = client(1, *_random_point(rng))
-        world = make_world([newcomer] + people)
+        world = make_world([newcomer] + people, now_ms=65 * MIN)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
-            out = acquire_first_segment(scheme, newcomer, 1, world)
+            out = acquire_first_segment(scheme, newcomer, world)
             got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
             assert got == _ref_outcome(scheme, newcomer, world)
             kinds[out.source_kind] += 1
@@ -340,7 +385,7 @@ class TestPoR:
     def test_idle_pool_two_hops(self):
         newcomer = client(1)
         world = make_world([newcomer], por_pool=StreamPool(20))
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.startup_delay_ms == 40
         assert out.queue_wait_ms == 0
@@ -351,7 +396,7 @@ class TestPoR:
         pool.admit(now, now + 5000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, por_pool=pool)
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.queue_wait_ms == 5000
         assert out.startup_delay_ms == 40 + 5000
@@ -363,7 +408,7 @@ class TestPoR:
         pool.admit(now, now + wait + 1000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, por_pool=pool)
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
@@ -371,14 +416,14 @@ class TestPoR:
         newcomer = client(1)
         world = make_world([newcomer])
         with pytest.raises(ValueError, match="forwarder pool"):
-            acquire_first_segment(SchemeId.POR_CACHE, newcomer, 1, world)
+            acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
 
 
 class TestProxy:
     def test_idle_lps_three_hops(self):
         newcomer = client(1)
         world = make_world([newcomer], lps_counts={1: 0, 2: 0})
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.LPS
         assert out.startup_delay_ms == 3 * LATENCY == 60
         assert out.lps_id == 1  # tie broken to the smaller id
@@ -386,7 +431,7 @@ class TestProxy:
     def test_least_loaded_lps_chosen(self):
         newcomer = client(1)
         world = make_world([newcomer], lps_counts={1: 3, 2: 1})
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.lps_id == 2
 
     def test_full_pool_beyond_slot_falls_back(self):
@@ -397,7 +442,7 @@ class TestProxy:
         pools[2].admit(now, now + wait + 2000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, lps_counts={1: 0, 2: 0}, lps_pools=pools)
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, 1, world)
+        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
@@ -405,7 +450,7 @@ class TestProxy:
         newcomer = client(1)
         world = make_world([newcomer])
         with pytest.raises(ValueError, match="LPS table"):
-            acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, 1, world)
+            acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
 
 
 class TestDeterminism:
@@ -417,8 +462,8 @@ class TestDeterminism:
         ]
         newcomer = client(1, 3.0, -2.0)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE, SchemeId.RANDOM_CACHE):
-            a = acquire_first_segment(scheme, newcomer, 1, make_world([newcomer] + people))
-            b = acquire_first_segment(scheme, newcomer, 1, make_world([newcomer] + people))
+            a = acquire_first_segment(scheme, newcomer, make_world([newcomer] + people))
+            b = acquire_first_segment(scheme, newcomer, make_world([newcomer] + people))
             assert a == b
 
 
@@ -428,12 +473,12 @@ class TestRetention:
 
     def test_all_cache_always_holds(self):
         rng = RandomSource(1).substream("cache-retention")
-        assert on_playback_started(SchemeId.ALL_CACHE, client(1), 1, self._world(), rng)
+        assert on_playback_started(SchemeId.ALL_CACHE, self._world(), rng)
 
     def test_never_holders(self):
         rng = RandomSource(1).substream("cache-retention")
         for scheme in (SchemeId.NO_CACHE, SchemeId.POR_CACHE, SchemeId.PROXY_CACHE):
-            assert not on_playback_started(scheme, client(1), 1, self._world(), rng)
+            assert not on_playback_started(scheme, self._world(), rng)
 
     def test_random_cache_prob_zero_and_one(self):
         import dataclasses
@@ -442,15 +487,15 @@ class TestRetention:
         base = make_world([])
         zero = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=0.0))
         one = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=1.0))
-        assert not on_playback_started(SchemeId.RANDOM_CACHE, client(1), 1, zero, rng)
-        assert on_playback_started(SchemeId.RANDOM_CACHE, client(1), 1, one, rng)
+        assert not on_playback_started(SchemeId.RANDOM_CACHE, zero, rng)
+        assert on_playback_started(SchemeId.RANDOM_CACHE, one, rng)
 
     def test_random_cache_long_run_fraction(self):
         rng = RandomSource(99).substream("cache-retention")
         world = self._world()
         n = 100_000
         held = sum(
-            on_playback_started(SchemeId.RANDOM_CACHE, client(1), 1, world, rng) for _ in range(n)
+            on_playback_started(SchemeId.RANDOM_CACHE, world, rng) for _ in range(n)
         )
         assert held / n == pytest.approx(0.5, abs=0.01)
 
@@ -459,7 +504,7 @@ class TestRetention:
         world = self._world()
         n = 100_000
         held = sum(
-            on_playback_started(SchemeId.DSC_CACHE, client(1), 1, world, rng) for _ in range(n)
+            on_playback_started(SchemeId.DSC_CACHE, world, rng) for _ in range(n)
         )
         assert held / n == pytest.approx(DSC_CACHE_PROB, abs=0.01)
 

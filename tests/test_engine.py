@@ -24,16 +24,8 @@ from sbvod.engine import (
     run_simulation,
 )
 from sbvod.sb_scheduler import build_plan
-from sbvod.domain import QualityLevel, VideoSpec
 
 MIN = MS_PER_MINUTE
-
-
-def _plan_60_5():
-    q = QualityLevel(q_index=1, stream_rate_bps=1.5e6, size_bits=60 * 60 * 1.5e6, request_prob=1.0)
-    video = VideoSpec(id=1, length_minutes=60, consumption_rate_mbps=1.5, popularity=1.0,
-                      qualities=(q,))
-    return build_plan(video, 5)
 
 
 def short_cfg(**overrides):
@@ -44,18 +36,18 @@ def short_cfg(**overrides):
 
 class TestClassifyArrival:
     def test_at_epoch_is_on_time(self):
-        cls = classify_arrival(_plan_60_5(), 0)
+        cls = classify_arrival(build_plan(60, 5), 0)
         assert cls.on_time and cls.missed_ms == 0
 
     def test_five_minutes_in_is_late_on_channel_one(self):
         # Channel 1 opened segment 1 at 0; channel 2 opens it at 12 min.
-        cls = classify_arrival(_plan_60_5(), 5 * MIN)
+        cls = classify_arrival(build_plan(60, 5), 5 * MIN)
         assert not cls.on_time
         assert cls.missed_ms == 5 * MIN
         assert cls.wait_ms == 7 * MIN
 
     def test_slot_boundary_is_on_time_next_channel(self):
-        cls = classify_arrival(_plan_60_5(), 12 * MIN)
+        cls = classify_arrival(build_plan(60, 5), 12 * MIN)
         assert cls.on_time and cls.wait_ms == 0
 
 
@@ -255,6 +247,22 @@ class TestSimulationLifecycle:
             assert view.now_ms == sim.now
         assert sim.now > 0
 
+    def test_setup_does_not_grow_with_the_catalog(self):
+        # The largest catalog that validates. Building a catalog entry and a
+        # free-holder grid per video held about 65 MB before the first event.
+        cfg = SimConfig(num_videos=10**5, consumption_rate_mbps=1e-4, horizon_minutes=5,
+                        warmup_minutes=0)
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg, SchemeId.ALL_CACHE)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 10 * 2**20
+        report = sim.run()
+        assert report.arrivals > 0
+        assert set(sim.free_holders) <= set(range(1, cfg.num_videos + 1))
+
 
 class TestRunMetrics:
     def test_determinism_bitwise(self):
@@ -350,23 +358,18 @@ def _grid_ids(grid):
 @pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
 def test_free_holder_grids_track_eligible_holders(scheme):
     # Two-minute videos on one channel over a link just wide enough for
-    # seven of them: fetches last up to a seventh of the video, so some
-    # holders reach the end of playback mid-upload.
+    # seven of them: fetches last up to a seventh of the video, so holders
+    # near the end of playback would leave mid-upload if the search did not
+    # skip them.
     cfg = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
                     lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
                     warmup_minutes=5.0, seed=2)
     sim = Simulation(cfg, scheme)
     sim._schedule_next_arrival(from_ms=0)
-    gone_mid_upload = set()
-    fetches_from_gone = 0
     while sim._heap:
         _t, _seq, handler, cid = sim._heap[0]
-        if handler.__func__ is Simulation._on_departure and sim.clients[cid].uploading:
-            gone_mid_upload.add(cid)
-        finishing_from = (
-            sim.clients[cid].fetch_holder_id
-            if handler.__func__ is Simulation._on_fetch_complete else None
-        )
+        if handler.__func__ is Simulation._on_departure:
+            assert not sim.clients[cid].uploading, (sim.now, cid)
         sim.step()
         for vid, grid in sim.free_holders.items():
             want = {
@@ -374,11 +377,8 @@ def test_free_holder_grids_track_eligible_holders(scheme):
                 if c.video_id == vid and c.holder and not c.uploading
             }
             assert _grid_ids(grid) == want, (sim.now, vid)
-        if finishing_from in gone_mid_upload:
-            fetches_from_gone += 1
-            assert all(finishing_from not in _grid_ids(g) for g in sim.free_holders.values())
-    assert set(sim.free_holders) == set(sim.videos)
-    assert gone_mid_upload and fetches_from_gone == len(gone_mid_upload)
+    assert set(sim.free_holders) <= set(range(1, cfg.num_videos + 1))
+    assert sim._outcomes["neighbor"] > 0
 
 
 def _positive(max_value=None):

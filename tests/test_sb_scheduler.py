@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbvod.domain import MS_PER_MINUTE, QualityLevel, VideoSpec
+from sbvod.domain import MS_PER_MINUTE
 from sbvod.sb_scheduler import (
     NonDivisibleError,
     build_plan,
@@ -22,13 +22,6 @@ from sbvod.sb_scheduler import (
 )
 
 MIN = MS_PER_MINUTE
-
-
-def _video(minutes=60, vid=1):
-    q = QualityLevel(q_index=1, stream_rate_bps=1.5e6, size_bits=minutes * 60 * 1.5e6, request_prob=1.0)
-    return VideoSpec(
-        id=vid, length_minutes=minutes, consumption_rate_mbps=1.5, popularity=1.0, qualities=(q,)
-    )
 
 
 class TestSegmentDuration:
@@ -67,23 +60,22 @@ class TestMaxChannels:
 class TestBuildPlan:
     def test_offsets_and_cycle(self):
         # Channel i starts segment 1 at (i - 1) * 12 min.
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         assert plan.segment_duration_ms == 12 * MIN
         assert all(classify_arrival(plan, off * MIN).on_time for off in (0, 12, 24, 36, 48))
         assert plan.cycle_ms == 60 * MIN
 
     def test_single_channel_degenerate(self):
-        plan = build_plan(_video(30), 1)
+        plan = build_plan(30, 1)
         assert plan.segment_duration_ms == plan.cycle_ms == 30 * MIN
 
     def test_plan_size_does_not_grow_with_channels(self):
         # 50 minutes on 10**6 channels: 3 ms segments. A stored offset per
         # channel would take tens of MB here, and validated channel counts
         # reach 6 * 10**10.
-        video = _video(50)
         tracemalloc.start()
         try:
-            plan = build_plan(video, 10**6)
+            plan = build_plan(50, 10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -94,7 +86,7 @@ class TestBuildPlan:
     def test_slot_sequence_across_channels(self):
         # Segment-1 slots open at 0, 12, 24, 36, 48, 60, ... minutes on
         # channels 1, 2, 3, 4, 5, 1, ...
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         for k in range(12):
             assert classify_arrival(plan, k * 12 * MIN).wait_ms == 0
 
@@ -103,20 +95,20 @@ class TestNextFirstSegmentStart:
     """The wait for the next segment-1 slot, as ``classify_arrival`` reports it."""
 
     def test_at_epoch(self):
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         assert classify_arrival(plan, 0).wait_ms == 0
 
     def test_five_minutes_in(self):
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         assert classify_arrival(plan, 5 * MIN).wait_ms == 7 * MIN
 
     def test_exactly_one_segment_in(self):
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         assert classify_arrival(plan, 12 * MIN).wait_ms == 0
 
     @given(st.integers(min_value=0, max_value=10 * 60 * MIN - 1))
     def test_wait_bounded_and_lands_on_segment_one(self, t):
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         wait = classify_arrival(plan, t).wait_ms
         assert 0 <= wait < plan.segment_duration_ms
         assert classify_arrival(plan, t + wait).on_time
@@ -126,13 +118,13 @@ class TestMeanWait:
     def test_closed_form_over_one_cycle(self):
         # Averaging the wait over every ms offset in one segment gives
         # (D-1)/2 on the integer grid; the continuous-time value is D/2.
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         d = plan.segment_duration_ms
         total = sum((d - (s % d)) % d for s in range(d))
         assert total / d == (d - 1) / 2
 
     def test_mean_wait_near_half_segment_for_uniform_draws(self):
-        plan = build_plan(_video(60), 5)
+        plan = build_plan(60, 5)
         d = plan.segment_duration_ms
         rng = np.random.Generator(np.random.PCG64(1234))
         ts = rng.integers(0, 10 * plan.cycle_ms, size=100_000)
