@@ -3,19 +3,21 @@
 Experiment sweeps emit one CSV row per replication plus an aggregate row
 per (scheme, swept value). Every row is formatted from plain Python
 numbers with fixed precision and emitted in a fixed order, so two runs
-from the same config and seed produce byte-identical files.
+from the same config and seed produce byte-identical files, whether the
+sweep's runs were made in one process or spread over several.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import statistics
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import analytic
+from . import analytic, engine
 from .caching import SchemeId, SourceKind, normalize_scheme
 from .domain import (
     BITS_PER_MEGABIT,
@@ -181,26 +183,73 @@ def _cfg_for_value(spec: ExperimentSpec, value: float) -> SimConfig:
     return replace(spec.base, arrival_rate_per_min=value)
 
 
+def default_workers() -> int:
+    """Worker processes a sweep uses: the CPUs this process may run on, at most 8.
+
+    ``taskset -c 0 sbvod experiment ...`` therefore makes every run in
+    the ``sbvod`` process itself. The cap keeps a large host from starting
+    dozens of ~30 MB workers; no host above two CPUs has been measured.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, 8)
+
+
+def _run_job(job: tuple[SimConfig, SchemeId]) -> MetricsReport:
+    # Calls the engine, not this module's ``run_simulation``, so a wrapper
+    # bound on that name (the benchmark's unit timer) stays in the parent.
+    return engine.run_simulation(*job)
+
+
+def run_many(jobs: list[tuple[SimConfig, SchemeId]], workers: int | None = None) -> list[MetricsReport]:
+    """Run each ``(cfg, scheme)`` job; returns the reports in input order.
+
+    A run is a pure function of its config and scheme, so where it runs
+    changes no byte. With one worker, or one job, the runs are made here
+    through this module's ``run_simulation``; otherwise they are spread
+    over ``min(workers, len(jobs))`` processes. ``workers`` defaults to
+    ``default_workers()``. An exception raised by a run reaches the caller
+    with its type and message.
+    """
+    workers = default_workers() if workers is None else workers
+    if workers == 1 or len(jobs) <= 1:
+        return [run_simulation(cfg, scheme) for cfg, scheme in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+
+    # One job per task: a run (~100 ms) dwarfs a round trip, and schemes
+    # differ in cost, so chunks of a short sweep would unbalance workers.
+    with ProcessPoolExecutor(min(workers, len(jobs))) as pool:
+        return list(pool.map(_run_job, jobs, chunksize=1))
+
+
+def _plan_runs(spec: ExperimentSpec) -> list[tuple[SimConfig, SchemeId]]:
+    """Every run of the sweep as a ``(cfg, scheme)`` job, in (scheme, value, replication) order."""
+    runs = []
+    for scheme in spec.schemes:
+        for value in spec.values:
+            cfg_v = _cfg_for_value(spec, value)
+            for rep in range(spec.replications):
+                seed = derive_seed(spec.base.seed, scheme.value, f"{value:g}", rep)
+                runs.append((replace(cfg_v, seed=seed), scheme))
+    return runs
+
+
 def run_experiment(spec: ExperimentSpec) -> Path:
-    """Execute the sweep and write its CSV; returns the output path.
+    """Run the sweep through ``run_many`` and write its CSV; returns the output path.
 
     Runs are seeded by hashing (base seed, scheme, swept value,
     replication index) with the package's 64-bit label mix, so each run
     is independent yet exactly reproducible, and rows appear in fixed
-    (scheme, value, replication) order no matter how the work is done.
+    (scheme, value, replication) order for any worker count.
     """
+    runs = _plan_runs(spec)
+    reports = run_many(runs)
+    reps = spec.replications
     lines = []
-    for scheme in spec.schemes:
-        for value in spec.values:
-            cfg_v = _cfg_for_value(spec, value)
-            reports = []
-            for rep in range(spec.replications):
-                seed = derive_seed(spec.base.seed, scheme.value, f"{value:g}", rep)
-                cfg = replace(cfg_v, seed=seed)
-                report = run_simulation(cfg, scheme)
-                reports.append(report)
-                lines.append(_run_row(spec.name, cfg, rep, report))
-            lines.append(_agg_row(spec, cfg_v, reports))
+    for i in range(0, len(runs), reps):
+        point = reports[i:i + reps]
+        for rep, ((cfg, _scheme), report) in enumerate(zip(runs[i:i + reps], point)):
+            lines.append(_run_row(spec.name, cfg, rep, report))
+        lines.append(_agg_row(spec, runs[i][0], point))
     return _write_csv(spec.out_path, lines)
 
 
@@ -343,6 +392,17 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
     return 0
 
 
+def _item_runs(flags: dict[tuple[int, int], bool]) -> str:
+    """The flagged (video, quality) items; consecutive ids at one quality print as ``vAqQ-vBqQ``."""
+    runs: list[list[int]] = []  # [first id, last id, quality]
+    for v, q in sorted(k for k, flag in flags.items() if flag):
+        if runs and runs[-1][1:] == [v - 1, q]:
+            runs[-1][1] = v
+        else:
+            runs.append([v, v, q])
+    return " ".join(f"v{a}q{q}" if a == b else f"v{a}q{q}-v{b}q{q}" for a, b, q in runs) or "(none)"
+
+
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     cfg = _load_base_config(ns.config, None)
     videos = catalog_from_config(cfg)
@@ -363,13 +423,11 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     else:
         report = analytic.dedicated_stream_analysis(videos, placement, lam, bandwidth_bits, service_min)
 
-    cached = sorted(k for k, flag in placement.cached.items() if flag)
-    broadcast = sorted(k for k, flag in placement.broadcast.items() if flag)
     pairs: list[tuple[str, object]] = [
         ("videos", len(videos)),
         ("cache_capacity_mbit", f"{cache_bits / BITS_PER_MEGABIT:.6g}"),
-        ("cached_items", " ".join(f"v{v}q{q}" for v, q in cached) or "(none)"),
-        ("broadcast_items", " ".join(f"v{v}q{q}" for v, q in broadcast) or "(none)"),
+        ("cached_items", _item_runs(placement.cached)),
+        ("broadcast_items", _item_runs(placement.broadcast)),
         ("hit_ratio", f"{report.hit_ratio:.6f}"),
         ("lambda_dedicated_per_sec", f"{report.lambda_dedicated:.6f}"),
         ("avg_stream_rate_bps", f"{report.avg_stream_rate:.6g}"),

@@ -18,7 +18,7 @@ import mpmath
 from sbvod.analytic import erlang_b, hit_ratio, place_cache, weighted_items
 from sbvod.balancer import LpsEntry, LpsTable, assign_lps, record_request, release_request
 from sbvod.caching import SchemeId
-from sbvod.cli import main
+from sbvod.cli import main, run_many
 from sbvod.domain import MS_PER_MINUTE, QualityLevel, SimConfig, VideoSpec, derive_seed
 from sbvod.engine import run_simulation
 
@@ -62,21 +62,26 @@ def test_criterion_1_no_cache_baseline_delay():
 
 def test_criterion_2_proxy_cache_never_fails():
     """Proxy acquisitions never fall back to a slot at default capacity."""
-    total_attempts = 0
-    total_failures = 0
-    worst = 0.0
-    for lam in (2.0, 4.0, 6.0, 8.0, 10.0):
-        for rep in range(30):
-            cfg = SimConfig(
+    jobs = [
+        (
+            SimConfig(
                 arrival_rate_per_min=lam,
                 horizon_minutes=120.0,
                 warmup_minutes=30.0,
                 seed=derive_seed(BASE_SEED, "proxy-zero", f"{lam:g}", rep),
-            )
-            report = run_simulation(cfg, SchemeId.PROXY_CACHE)
-            total_attempts += report.attempts
-            total_failures += report.failures
-            worst = max(worst, report.failure_probability)
+            ),
+            SchemeId.PROXY_CACHE,
+        )
+        for lam in (2.0, 4.0, 6.0, 8.0, 10.0)
+        for rep in range(30)
+    ]
+    total_attempts = 0
+    total_failures = 0
+    worst = 0.0
+    for report in run_many(jobs, workers=2):
+        total_attempts += report.attempts
+        total_failures += report.failures
+        worst = max(worst, report.failure_probability)
     ok = total_failures == 0 and worst == 0.0
     _check(
         2,
@@ -199,20 +204,26 @@ def test_criterion_6_neighbor_scheme_delay_ordering_and_trend():
     """All-Cache < DSC-Cache < Random-Cache at 6/min; all non-increasing in rate."""
     lams = (2.0, 4.0, 6.0, 8.0, 10.0)
     schemes = (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE, SchemeId.RANDOM_CACHE)
+    reps = 30
+    points = [(scheme, lam) for scheme in schemes for lam in lams]
+    jobs = [
+        (
+            SimConfig(
+                arrival_rate_per_min=lam,
+                horizon_minutes=330.0,
+                warmup_minutes=90.0,
+                seed=derive_seed(BASE_SEED, "trend", scheme.value, f"{lam:g}", rep),
+            ),
+            scheme,
+        )
+        for scheme, lam in points
+        for rep in range(reps)
+    ]
+    reports = run_many(jobs, workers=2)
     agg: dict[str, dict[float, float]] = {s.value: {} for s in schemes}
-    for scheme in schemes:
-        for lam in lams:
-            means = []
-            for rep in range(30):
-                cfg = SimConfig(
-                    arrival_rate_per_min=lam,
-                    horizon_minutes=330.0,
-                    warmup_minutes=90.0,
-                    seed=derive_seed(BASE_SEED, "trend", scheme.value, f"{lam:g}", rep),
-                )
-                report = run_simulation(cfg, scheme)
-                means.append(report.mean_startup_delay_ms)
-            agg[scheme.value][lam] = sum(means) / len(means)
+    for i, (scheme, lam) in enumerate(points):
+        means = [r.mean_startup_delay_ms for r in reports[i * reps:(i + 1) * reps]]
+        agg[scheme.value][lam] = sum(means) / len(means)
 
     at6 = {s.value: agg[s.value][6.0] for s in schemes}
     order_ok = at6["all-cache"] < at6["dsc-cache"] < at6["random-cache"]

@@ -1,21 +1,27 @@
 """Argument parsing, experiment CSV layout, and end-to-end CLI runs."""
 
 import math
+import random
 
 import mpmath
 import pytest
 
+from sbvod import cli
 from sbvod.caching import SchemeId
 from sbvod.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
+    _item_runs,
     _t975,
     build_experiment_spec,
+    default_workers,
     main,
     parse_args,
     run_experiment,
+    run_many,
 )
 from sbvod.domain import SimConfig, derive_seed
+from sbvod.engine import SimulationError, run_simulation
 
 
 def tiny_spec(out_path, schemes=(SchemeId.NO_CACHE, SchemeId.ALL_CACHE), reps=2):
@@ -169,6 +175,58 @@ class TestRunExperiment:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestRunMany:
+    """Fanning runs out over worker processes changes no byte and no order."""
+
+    def test_one_and_two_workers_write_identical_csvs(self, tmp_path, monkeypatch):
+        # The golden experiment-csv sweep: six schemes, two rates, two reps.
+        def csv_at(workers, out):
+            monkeypatch.setattr(cli, "default_workers", lambda: workers)
+            return run_experiment(spec(out)).read_bytes()
+
+        def spec(out):
+            base = SimConfig(num_videos=3, lps_capacity=3, seed=7, horizon_minutes=40.0,
+                             warmup_minutes=5.0)
+            return ExperimentSpec(name="delay_vs_arrival", schemes=tuple(SchemeId),
+                                  sweep_var="arrival_rate_per_min", values=(4.0, 10.0),
+                                  replications=2, base=base, out_path=str(out))
+
+        one = csv_at(1, tmp_path / "one.csv")
+        two = csv_at(2, tmp_path / "two.csv")
+        assert one == two
+        assert len(one.splitlines()) == 1 + 6 * 2 * (2 + 1)
+
+    def test_reports_come_back_in_input_order(self):
+        # Horizons from 15 to 240 minutes, so runs finish out of input order.
+        jobs = [(SimConfig(horizon_minutes=float(h), warmup_minutes=5.0, seed=h), scheme)
+                for h in (15, 30, 60, 240) for scheme in (SchemeId.NO_CACHE, SchemeId.DSC_CACHE)]
+        random.Random(3).shuffle(jobs)
+        expected = [run_simulation(cfg, scheme) for cfg, scheme in jobs]
+        assert run_many(jobs, workers=2) == expected
+
+    def test_failing_run_reaches_the_caller(self):
+        good = SimConfig(horizon_minutes=20.0, warmup_minutes=5.0)
+        bad = SimConfig(horizon_minutes=20.0, warmup_minutes=5.0, arrival_rate_per_min=-1.0)
+        with pytest.raises(SimulationError) as here:
+            run_simulation(bad, SchemeId.NO_CACHE)
+        with pytest.raises(SimulationError) as pooled:
+            run_many([(good, SchemeId.NO_CACHE), (bad, SchemeId.NO_CACHE)], workers=2)
+        assert str(pooled.value) == str(here.value) == "invalid config: arrival_rate_per_min must be positive"
+
+    def test_failing_run_exits_non_zero(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "default_workers", lambda: 2)
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("horizon_minutes = 20\nwarmup_minutes = 5\n", encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg), "--name", "custom", "--sweep=4,-1",
+                     "--sweep-var", "arrival", "--scheme", "no",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code != 0
+        assert capsys.readouterr().err == "sbvod: invalid config: arrival_rate_per_min must be positive\n"
+
+    def test_default_workers_is_between_one_and_eight(self):
+        assert 1 <= default_workers() <= 8
+
+
 class TestMain:
     def test_simulate_prints_report(self, tmp_path, capsys):
         cfg = tmp_path / "fast.cfg"
@@ -232,6 +290,21 @@ class TestMain:
         assert code == 0
         assert "hit_ratio" in out
         assert "supported_streams" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--reserved-mbps", "1"]])
+    def test_analyze_text_does_not_grow_with_the_catalog(self, tmp_path, capsys, flags):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("num_videos = 100000\nconsumption_rate_mbps = 0.0001\n", encoding="utf-8")
+        assert main(["analyze", "--config", str(cfg), *flags]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "cached_items              v1q1-v50000q1" in lines
+        assert max(len(ln) for ln in lines) <= 200
+
+    def test_item_runs_break_at_gaps_and_quality_changes(self):
+        flags = {(1, 1): True, (2, 1): True, (3, 1): False, (4, 1): True, (5, 1): True,
+                 (6, 1): True, (7, 2): True, (8, 2): True, (10, 1): True}
+        assert _item_runs(flags) == "v1q1-v2q1 v4q1-v6q1 v7q2-v8q2 v10q1"
+        assert _item_runs({(1, 1): False}) == "(none)"
 
     def test_analyze_with_reservation_and_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "cap.csv"

@@ -7,7 +7,9 @@ single-run report and CSV, one event trace per scheme, and the analytic
 report on each of its branches. When a change is meant to alter an
 output, record the new digest here and say why in CHANGES.md. The
 ``experiment-csv`` and ``capacity-reports`` digests were re-recorded when
-``ci95_ms`` took the Student-t quantile and empty report sums became 0.0.
+``ci95_ms`` took the Student-t quantile and empty report sums became 0.0;
+``analyze-all-cached`` and ``analyze-all-broadcast`` when ``analyze``
+began printing runs of consecutive items as ``vAqQ-vBqQ``.
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
 in the format of ``RECORDED``.
 """
@@ -60,8 +62,8 @@ RECORDED = {
     "trace-proxy-cache": "e07289ef9880732791eb99d4cd676d547431760e667ceeb5adf43b26faea4200",
     "analyze": "78ad8aec8975567e649446f899b2ab25358201d560b203a31d45058013676027",
     "analyze-reserved": "0f23aee57f6e8cb9273ede45181df2c44626fdaa5b2c911bed8b5b67bfa997d8",
-    "analyze-all-cached": "6c95b8b036cd23d17dcb562754fdcd004f1285286876e2bf8f65b467d257f2a8",
-    "analyze-all-broadcast": "94e295ddd113584939a87d90e43ad3af02968e8999e14c5d8ed369dbbf3a02a1",
+    "analyze-all-cached": "ced58441c2fc0ea50f86ae09567be37c528adc95758269c447dd46fb205211f1",
+    "analyze-all-broadcast": "ee4cd875bd0dd96077728b0fb369d9d6a165fbda389d416b4e62ca17aa7dc9c4",
     "capacity-reports": "5294fc4c398ae3eb5c2a487d4f9fa2f089912dda42daf980023e919525645fea",
 }
 
