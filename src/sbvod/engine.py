@@ -19,7 +19,7 @@ import heapq
 import itertools
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from typing import Callable, TextIO
@@ -65,26 +65,59 @@ class ClientRecord:
     playback_start_ms: int | None = None
     holder: bool = False
     uploading: bool = False
-    fetch_kind: SourceKind | None = None
-    fetch_holder_id: int | None = None
-    fetch_lps_id: int | None = None
+    fetch: AcquisitionOutcome | None = None
     fetch_end_ms: int = 0
 
 
-@dataclass(frozen=True)
+# What a client who walks in exactly as a segment-1 slot opens counts as.
+_ON_TIME = AcquisitionOutcome(SourceKind.CHANNEL_SLOT, 0)
+
+
+@dataclass
 class MetricsReport:
-    """Post-warmup summary of one simulation run."""
+    """Post-warmup counts of one simulation run, and the statistics they give.
+
+    The run adds each arrival after warmup once, from its outcome; every
+    other figure is computed from these fields.
+    """
 
     scheme: str
     seed: int
-    arrivals: int
-    mean_startup_delay_ms: float | None
-    failure_probability: float | None
-    attempts: int
-    failures: int
-    outcome_counts: dict[str, int]
     lps_requests: dict[int, int]
-    empty: bool
+    delay_sum_ms: int = 0
+    attempts: int = 0
+    failures: int = 0
+    outcome_counts: dict[str, int] = field(default_factory=lambda: {k.value: 0 for k in SourceKind})
+
+    def add(self, out: AcquisitionOutcome, attempt: bool) -> None:
+        """Count one arrival; ``attempt`` is whether it tried a source other than the slot."""
+        self.delay_sum_ms += out.startup_delay_ms
+        self.outcome_counts[out.source_kind.value] += 1
+        if out.lps_id is not None:
+            self.lps_requests[out.lps_id] += 1
+        if attempt:
+            self.attempts += 1
+            if out.failed:
+                self.failures += 1
+
+    @property
+    def arrivals(self) -> int:
+        return sum(self.outcome_counts.values())
+
+    @property
+    def empty(self) -> bool:
+        return self.arrivals == 0
+
+    @property
+    def mean_startup_delay_ms(self) -> float | None:
+        n = self.arrivals
+        return self.delay_sum_ms / n if n else None
+
+    @property
+    def failure_probability(self) -> float | None:
+        if self.empty:
+            return None
+        return self.failures / self.attempts if self.attempts else 0.0
 
 
 class StreamPool:
@@ -169,6 +202,7 @@ class Simulation:
         )
         self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in lps_ids}
         self.por_pool = StreamPool(cfg.lps_capacity)
+        self.report = MetricsReport(scheme.value, cfg.seed, {i: 0 for i in lps_ids})
         self._world = WorldView(
             now_ms=0,
             cfg=cfg,
@@ -185,13 +219,6 @@ class Simulation:
         self.warmup_ms = cfg.warmup_ms
         self.arrived = 0
         self.departed = 0
-
-        # Post-warmup accumulators; every counted arrival has one outcome.
-        self._delay_sum = 0
-        self._attempts = 0
-        self._failures = 0
-        self._outcomes = {k.value: 0 for k in SourceKind}
-        self._lps_grants = {i: 0 for i in self.lps_pools}
 
     # -- setup helpers ----------------------------------------------------
 
@@ -227,7 +254,7 @@ class Simulation:
             pass
         if self.arrived != self.departed or self.clients:
             raise SimulationError("drain left clients in flight")
-        return self._build_report()
+        return self.report
 
     def step(self) -> bool:
         """Process one event; returns False once the heap is empty."""
@@ -263,22 +290,18 @@ class Simulation:
 
         if cls.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
-            c.playback_start_ms = self.now
-            self._count_arrival(c, SourceKind.CHANNEL_SLOT, failed=False, attempt=False, delay_ms=0)
-            self._begin_playback(c)
-            return
-
-        outcome = caching.acquire_first_segment(self.scheme, c, self.world_view())
-        self._apply_outcome(c, outcome)
+            self._apply_outcome(c, _ON_TIME)
+        else:
+            self._apply_outcome(c, caching.acquire_first_segment(self.scheme, c, self.world_view()))
 
     def _apply_outcome(self, c: ClientRecord, out: AcquisitionOutcome) -> None:
-        self._count_arrival(
-            c,
-            out.source_kind,
-            failed=out.failed,
-            attempt=self.scheme is not SchemeId.NO_CACHE,
-            delay_ms=out.startup_delay_ms,
-        )
+        if c.arrival_ms > self.warmup_ms:
+            self.report.add(out, attempt=out is not _ON_TIME and self.scheme is not SchemeId.NO_CACHE)
+
+        if out is _ON_TIME:
+            c.playback_start_ms = self.now
+            self._begin_playback(c)
+            return
 
         if out.source_kind is SourceKind.CHANNEL_SLOT:
             c.state = ClientState.AWAITING_SLOT
@@ -289,7 +312,7 @@ class Simulation:
         c.state = ClientState.FETCHING_FIRST
         c.playback_start_ms = self.now + out.startup_delay_ms
         c.fetch_end_ms = c.playback_start_ms + out.fetch_ms
-        c.fetch_kind = out.source_kind
+        c.fetch = out
 
         if out.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
             holder = self.clients[out.holder_id]
@@ -297,12 +320,10 @@ class Simulation:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
             self.free_holders[holder.video_id].remove(holder.id, holder.position)
-            c.fetch_holder_id = out.holder_id
             self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
             return
 
         # Pool-backed fetches hold their slot from grant to transfer end.
-        c.fetch_lps_id = out.lps_id
         if out.queue_wait_ms == 0:
             self._pool(c).admit(self.now, c.fetch_end_ms)
             self._grant_stream(c)
@@ -312,14 +333,12 @@ class Simulation:
             self._schedule(grant_ms, self._on_queue_grant, c.id)
 
     def _pool(self, c: ClientRecord) -> StreamPool:
-        return self.por_pool if c.fetch_kind is SourceKind.POR else self.lps_pools[c.fetch_lps_id]
+        return self.por_pool if c.fetch.lps_id is None else self.lps_pools[c.fetch.lps_id]
 
     def _grant_stream(self, c: ClientRecord) -> None:
         # A queued job's slot was promised when it was enqueued.
-        if c.fetch_kind is SourceKind.LPS:
-            balancer.record_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
-            if c.arrival_ms > self.warmup_ms:
-                self._lps_grants[c.fetch_lps_id] += 1
+        if c.fetch.source_kind is SourceKind.LPS:
+            balancer.record_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
         self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
 
     def _on_slot_start(self, client_id: int) -> None:
@@ -338,14 +357,14 @@ class Simulation:
 
     def _on_fetch_complete(self, client_id: int) -> None:
         c = self.clients[client_id]
-        if c.fetch_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
-            holder = self.clients[c.fetch_holder_id]
+        if c.fetch.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
+            holder = self.clients[c.fetch.holder_id]
             if not holder.uploading:
                 raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
             holder.uploading = False
             self.free_holders[holder.video_id].add(holder.id, holder.position)
-        elif c.fetch_kind is SourceKind.LPS:
-            balancer.release_request(self.lps_table, c.fetch_lps_id, f"C{c.id}")
+        elif c.fetch.source_kind is SourceKind.LPS:
+            balancer.release_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
         self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 
@@ -373,42 +392,6 @@ class Simulation:
         self._trace("departure", c.id)
         if self.arrived != self.departed + len(self.clients):
             raise SimulationError("client conservation violated")
-
-    # -- metrics ----------------------------------------------------------
-
-    def _count_arrival(
-        self, c: ClientRecord, source: SourceKind, failed: bool, attempt: bool, delay_ms: int
-    ) -> None:
-        if c.arrival_ms <= self.warmup_ms:
-            return
-        self._delay_sum += delay_ms
-        self._outcomes[source.value] += 1
-        if attempt:
-            self._attempts += 1
-            if failed:
-                self._failures += 1
-
-    def _build_report(self) -> MetricsReport:
-        n = sum(self._outcomes.values())
-        mean = (self._delay_sum / n) if n else None
-        if n == 0:
-            failure = None
-        elif self._attempts == 0:
-            failure = 0.0
-        else:
-            failure = self._failures / self._attempts
-        return MetricsReport(
-            scheme=self.scheme.value,
-            seed=self.cfg.seed,
-            arrivals=n,
-            mean_startup_delay_ms=mean,
-            failure_probability=failure,
-            attempts=self._attempts,
-            failures=self._failures,
-            outcome_counts=dict(self._outcomes),
-            lps_requests=dict(self._lps_grants),
-            empty=(n == 0),
-        )
 
 
 def run_simulation(cfg: SimConfig, scheme: SchemeId, trace: TextIO | None = None) -> MetricsReport:

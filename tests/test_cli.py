@@ -284,6 +284,23 @@ class TestMain:
         assert code == 2
         assert "arrival_rate_per_min must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["--name", "custom", "--sweep-var", "arrival", "--sweep=4,-1"],
+        ["--name", "custom", "--sweep-var", "arrival", "--sweep=nan"],
+        ["--name", "custom", "--sweep-var", "length", "--sweep=30.5"],
+        ["--reps", "0"],
+        ["--scheme", ","],
+    ], ids=["negative-rate", "nan-rate", "fractional-length", "zero-reps", "no-scheme"])
+    def test_bad_experiment_is_usage_error_before_any_run(self, tmp_path, capsys, args):
+        cfg = tmp_path / "fast.cfg"
+        cfg.write_text("horizon_minutes = 20\nwarmup_minutes = 5\n", encoding="utf-8")
+        out_csv = tmp_path / "x.csv"
+        code = main(["experiment", "--config", str(cfg), "--reps", "1", "--sweep=4", *args,
+                     "--out", str(out_csv)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("sbvod: ")
+        assert not out_csv.exists()
+
     def test_analyze_prints_capacity_report(self, capsys):
         code = main(["analyze", "--cache-mbit", "0", "--service-minutes", "60"])
         out = capsys.readouterr().out

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from sbvod import balancer
 from sbvod.analytic import erlang_b
 from sbvod.caching import SchemeId, SourceKind
 from sbvod.domain import MS_PER_MINUTE, SimConfig, validate_config
@@ -315,6 +316,28 @@ class TestRunMetrics:
         known = {entry.lps_id for entry in sim.lps_table.entries}
         assert set(report.lps_requests) <= known
 
+    def test_per_proxy_counts_match_post_warmup_grants(self, monkeypatch):
+        # Two streams per proxy at 10 arrivals/min: jobs queue, and a few are refused.
+        cfg = short_cfg(num_lps=3, lps_capacity=2, arrival_rate_per_min=10.0,
+                        horizon_minutes=120.0, warmup_minutes=30.0, seed=5)
+        sim = Simulation(cfg, SchemeId.PROXY_CACHE)
+        grants = {i: 0 for i in range(1, cfg.num_lps + 1)}
+        queued = 0
+        record = balancer.record_request
+
+        def counting(table, lps_id, client_id):
+            nonlocal queued
+            c = sim.clients[int(client_id[1:])]
+            if c.arrival_ms > cfg.warmup_ms:
+                grants[lps_id] += 1
+                queued += sim.now > c.arrival_ms
+            return record(table, lps_id, client_id)
+
+        monkeypatch.setattr(balancer, "record_request", counting)
+        report = sim.run()
+        assert report.lps_requests == grants == {1: 440, 2: 279, 3: 167}
+        assert queued > 0 and report.failures > 0
+
     def test_mean_delay_is_positive_for_late_heavy_runs(self):
         report = run_simulation(short_cfg(seed=2), SchemeId.NO_CACHE)
         assert report.mean_startup_delay_ms > 0
@@ -339,9 +362,9 @@ class TestHolderExclusivity:
             fetching = [
                 c for c in sim.clients.values()
                 if c.state is ClientState.FETCHING_FIRST
-                and c.fetch_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY)
+                and c.fetch.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY)
             ]
-            holders_in_use = [c.fetch_holder_id for c in fetching]
+            holders_in_use = [c.fetch.holder_id for c in fetching]
             assert len(holders_in_use) == len(set(holders_in_use))
             for hid in holders_in_use:
                 if hid in sim.clients:
@@ -378,7 +401,7 @@ def test_free_holder_grids_track_eligible_holders(scheme):
             }
             assert _grid_ids(grid) == want, (sim.now, vid)
     assert set(sim.free_holders) <= set(range(1, cfg.num_videos + 1))
-    assert sim._outcomes["neighbor"] > 0
+    assert sim.report.outcome_counts["neighbor"] > 0
 
 
 def _positive(max_value=None):
