@@ -123,25 +123,28 @@ class NeighborIndex:
 
     def remove(self, cid: int, pos: tuple[float, float]) -> None:
         key = self._key(pos)
-        cell = self._cells.get(key)
-        if cell is None or cid not in cell:
-            raise KeyError(f"client {cid} not present in cell {key}")
-        cell.remove(cid)
+        try:
+            cell = self._cells[key]
+            cell.remove(cid)
+        except (KeyError, ValueError):
+            raise KeyError(f"client {cid} not present in cell {key}") from None
         if not cell:
             del self._cells[key]
 
-    def ids_near(self, pos: tuple[float, float], reach: int = 1):
-        """All ids in the cell block ``reach`` cells around ``pos``.
+    def cells_near(self, pos: tuple[float, float], reach: int = 1) -> list[list[int]]:
+        """The cells of the block ``reach`` cells around ``pos`` that hold an id.
 
-        The default 3x3 block is a superset of the ids within range.
+        The default 3x3 block holds every id within range. A cell is
+        dropped when its last id leaves, so a key present is a cell in use.
         """
         cx, cy = self._key(pos)
         cells = self._cells
-        for x in range(cx - reach, cx + reach + 1):
-            for y in range(cy - reach, cy + reach + 1):
-                cell = cells.get((x, y))
-                if cell:
-                    yield from cell
+        return [cells[key] for x in range(cx - reach, cx + reach + 1)
+                for y in range(cy - reach, cy + reach + 1) if (key := (x, y)) in cells]
+
+    def ids_near(self, pos: tuple[float, float], reach: int = 1) -> list[int]:
+        """All ids in the block ``reach`` cells around ``pos``."""
+        return [cid for cell in self.cells_near(pos, reach) for cid in cell]
 
 
 @dataclass
@@ -182,10 +185,6 @@ def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
     return int(math.ceil(missed_ms * ratio))
 
 
-def _dist2(a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
-
-
 def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
                          index: NeighborIndex, until_ms: int):
     """(dist2, id, record) for each client of ``index`` in radio range, nearest first.
@@ -194,23 +193,40 @@ def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: in
     transfer ending then would, so it is left out.
     """
     r2 = world.cfg.client_range_m**2
-    cycle_ms = world.plan.cycle_ms
+    leave_by = until_ms - world.plan.cycle_ms  # playback started before this ends too soon
     clients = world.clients
+    x, y = pos
     out = []
-    for cid in index.ids_near(pos):
-        if cid == skip_id:
-            continue
-        rec = clients[cid]
-        d2 = _dist2(pos, rec.position)
-        if d2 <= r2 and rec.playback_start_ms + cycle_ms >= until_ms:
-            out.append((d2, cid, rec))
+    for cell in index.cells_near(pos):
+        for cid in cell:
+            rec = clients[cid]
+            px, py = rec.position
+            d2 = (x - px) ** 2 + (y - py) ** 2
+            if d2 <= r2 and cid != skip_id and rec.playback_start_ms >= leave_by:
+                out.append((d2, cid, rec))
     out.sort()  # ids are unique, so records are never compared
     return out
 
 
 def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, until_ms: int):
-    found = _candidates_in_range(world, pos, skip_id, world.free_holders[video_id], until_ms)
-    return found[0][1] if found else None
+    """The first id of ``_candidates_in_range`` over the video's free holders, or None.
+
+    One pass keeps the least (dist2, id) so far; the filters are checked
+    only for a candidate that would replace it.
+    """
+    leave_by = until_ms - world.plan.cycle_ms
+    clients = world.clients
+    x, y = pos
+    best_d2, best = world.cfg.client_range_m**2, None
+    for cell in world.free_holders[video_id].cells_near(pos):
+        for cid in cell:
+            rec = clients[cid]
+            px, py = rec.position
+            d2 = (x - px) ** 2 + (y - py) ** 2
+            if ((d2 < best_d2 or d2 == best_d2 and (best is None or cid < best))
+                    and cid != skip_id and rec.playback_start_ms >= leave_by):
+                best_d2, best = d2, cid
+    return best
 
 
 def _find_relay(world: WorldView, client, until_ms: int):
@@ -220,7 +236,7 @@ def _find_relay(world: WorldView, client, until_ms: int):
     """
     # A via sits within one cell of the client and its holder within one
     # cell of the via, so no holder within two cells means no relay.
-    if next(world.free_holders[client.video_id].ids_near(client.position, 2), None) is None:
+    if not world.free_holders[client.video_id].cells_near(client.position, 2):
         return None
     near = _candidates_in_range(world, client.position, client.id, world.index, until_ms)
     for _d2, zid, zrec in near:

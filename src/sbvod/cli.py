@@ -32,6 +32,7 @@ from .engine import MetricsReport, SimulationError, run_simulation
 
 EXPERIMENT_NAMES = ("delay_vs_arrival", "delay_vs_length", "failure_vs_arrival", "custom")
 
+_SWEEP_VARS = {"arrival": "arrival_rate_per_min", "length": "video_length_minutes"}
 _DEFAULT_ARRIVAL_SWEEP = (2.0, 4.0, 6.0, 8.0, 10.0)
 _DEFAULT_LENGTH_SWEEP = (30.0, 60.0, 90.0)
 
@@ -338,7 +339,9 @@ def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
     else:
         if ns.sweep is None or ns.sweep_var is None:
             raise ConfigError("custom experiments need --sweep and --sweep-var")
-        sweep_var = "arrival_rate_per_min" if ns.sweep_var == "arrival" else "video_length_minutes"
+        sweep_var = _SWEEP_VARS[ns.sweep_var]
+    if ns.sweep_var is not None and _SWEEP_VARS[ns.sweep_var] != sweep_var:
+        raise ConfigError(f"--sweep-var {ns.sweep_var} does not apply to {ns.name}, which sweeps {sweep_var}")
     if ns.sweep is not None:
         values = ns.sweep
     spec = ExperimentSpec(
@@ -350,7 +353,13 @@ def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
         base=base,
         out_path=ns.out,
     )
+    printed: dict[str, float] = {}
     for value in values:
+        # Seeds and rows carry the value as printed, so values that print alike would share both.
+        label = f"{value:g}"
+        if label in printed:
+            raise ConfigError(f"sweep values {printed[label]!r} and {value!r} are the same to 6 significant digits")
+        printed[label] = value
         if sweep_var == "video_length_minutes" and not value.is_integer():
             raise ConfigError(f"video lengths must be whole minutes, not {value:g}")
         _checked(_cfg_for_value(spec, value))

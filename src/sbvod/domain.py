@@ -7,10 +7,13 @@ a component starts working with them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -316,6 +319,25 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, generator=PCG64)"
+
+
+# Values a BlockDraws hands out from one block before it draws the next.
+DRAW_BLOCK = 512
+
+
+class BlockDraws:
+    """One substream's values, drawn ``block`` at a time and handed out one by one.
+
+    ``draw(n)`` returns the stream's next ``n`` values, as
+    ``Generator.random`` and ``partial(Generator.exponential, scale)`` do.
+    numpy gives a block the same bits as ``n`` one-at-a-time draws from the
+    same generator, so the values do not depend on ``block``. Nothing is
+    drawn before the first call of ``random()``, which returns the next value.
+    """
+
+    def __init__(self, draw: Callable[[int], np.ndarray], block: int = DRAW_BLOCK):
+        blocks = (draw(block).tolist() for _ in itertools.repeat(None))
+        self.random: Callable[[], float] = functools.partial(next, itertools.chain.from_iterable(blocks))
 
 
 def zipf_popularity(n: int) -> list[float]:

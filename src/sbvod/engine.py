@@ -34,6 +34,7 @@ from .caching import (
 )
 from .domain import (
     MS_PER_MINUTE,
+    BlockDraws,
     RandomSource,
     SimConfig,
     validate_config,
@@ -53,7 +54,7 @@ class ClientState(Enum):
     PLAYING = "playing"
 
 
-@dataclass
+@dataclass(slots=True)
 class ClientRecord:
     """Mutable per-client state while the client is in the system."""
 
@@ -181,10 +182,11 @@ class Simulation:
         self._video_edges[-1] = 1.0
 
         source = RandomSource(cfg.seed)
-        self._rng_arrivals = source.substream("arrivals")
-        self._rng_place = source.substream("placement")
-        self._rng_video = source.substream("video-choice")
-        self._rng_cache = source.substream("cache-retention")
+        gap_scale = MS_PER_MINUTE / cfg.arrival_rate_per_min
+        self._rng_arrivals = BlockDraws(partial(source.substream("arrivals").exponential, gap_scale))
+        self._rng_place = BlockDraws(source.substream("placement").random)
+        self._rng_video = BlockDraws(source.substream("video-choice").random)
+        self._rng_cache = BlockDraws(source.substream("cache-retention").random)
 
         self.now = 0
         self._seq = 0
@@ -270,8 +272,7 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def _schedule_next_arrival(self, from_ms: int) -> None:
-        scale = MS_PER_MINUTE / self.cfg.arrival_rate_per_min
-        gap = int(round(self._rng_arrivals.exponential(scale)))
+        gap = int(round(self._rng_arrivals.random()))
         t = from_ms + max(0, gap)
         if t <= self.horizon_ms:
             self._schedule(t, self._on_arrival)

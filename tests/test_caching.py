@@ -21,7 +21,6 @@ from sbvod.caching import (
     SchemeId,
     SourceKind,
     WorldView,
-    _dist2,
     acquire_first_segment,
     fetch_duration_ms,
     normalize_scheme,
@@ -577,9 +576,9 @@ class TestNeighborIndex:
         idx.add(1, p)
         idx.add(2, h)
         r2 = r**2
-        if _dist2(p, q) <= r2:
+        if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= r2:
             assert 1 in set(idx.ids_near(q))
-            if _dist2(h, p) <= r2:
+            if (h[0] - p[0]) ** 2 + (h[1] - p[1]) ** 2 <= r2:
                 assert 2 in set(idx.ids_near(q, 2))
 
     def test_block_is_superset_of_range(self):

@@ -106,6 +106,12 @@ class TestSpecValidation:
         assert spec.sweep_var == "video_length_minutes"
         assert spec.values == (30.0, 60.0, 90.0)
 
+    def test_named_experiment_takes_its_own_sweep_var(self, tmp_path):
+        ns = parse_args(["experiment", "--out", str(tmp_path / "r.csv"),
+                         "--name", "delay_vs_length", "--sweep-var", "length", "--sweep", "30,90"])
+        spec = build_experiment_spec(ns)
+        assert (spec.sweep_var, spec.values) == ("video_length_minutes", (30.0, 90.0))
+
 
 class TestRunExperiment:
     def test_row_count_and_header(self, tmp_path):
@@ -290,7 +296,11 @@ class TestMain:
         ["--name", "custom", "--sweep-var", "length", "--sweep=30.5"],
         ["--reps", "0"],
         ["--scheme", ","],
-    ], ids=["negative-rate", "nan-rate", "fractional-length", "zero-reps", "no-scheme"])
+        ["--name", "delay_vs_length", "--sweep-var", "arrival", "--sweep=8"],
+        ["--name", "custom", "--sweep-var", "arrival", "--sweep=4.0000001,4.0000002"],
+        ["--name", "custom", "--sweep-var", "arrival", "--sweep=4,4"],
+    ], ids=["negative-rate", "nan-rate", "fractional-length", "zero-reps", "no-scheme",
+            "sweep-var-of-another-experiment", "values-print-alike", "repeated-value"])
     def test_bad_experiment_is_usage_error_before_any_run(self, tmp_path, capsys, args):
         cfg = tmp_path / "fast.cfg"
         cfg.write_text("horizon_minutes = 20\nwarmup_minutes = 5\n", encoding="utf-8")

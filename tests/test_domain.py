@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sbvod.domain import (
     _MAX_CHANNELS,
     MS_PER_MINUTE,
+    BlockDraws,
     ConfigError,
     QualityLevel,
     RandomSource,
@@ -297,6 +299,26 @@ class TestRandomSource:
             block.exponential(scale, n).tobytes()
             == np.array([scalar.exponential(scale) for _ in range(n)]).tobytes()
         )
+
+    @pytest.mark.parametrize("scale", [6000.0, 2.0**1000])
+    def test_block_helper_hands_out_scalar_draws_across_refills(self, scale):
+        # Twenty values from blocks of three: six refills, the last block part-used.
+        src = RandomSource(7)
+        uniform, ref_uniform = src.substream("placement"), src.substream("placement")
+        gaps, ref_gaps = src.substream("arrivals"), src.substream("arrivals")
+        drawn = []
+
+        def draw_uniform(n):
+            drawn.append(n)
+            return uniform.random(n)
+
+        block_uniform = BlockDraws(draw_uniform, block=3)
+        block_gaps = BlockDraws(partial(gaps.exponential, scale), block=3)
+        assert drawn == []  # nothing is drawn before the first value is asked for
+        for _ in range(20):
+            assert block_uniform.random().hex() == ref_uniform.random().hex()
+            assert block_gaps.random().hex() == ref_gaps.exponential(scale).hex()
+        assert drawn == [3] * 7
 
     def test_repr_names_generator(self):
         assert "PCG64" in repr(RandomSource(1))

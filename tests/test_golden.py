@@ -10,6 +10,8 @@ output, record the new digest here and say why in CHANGES.md. The
 ``ci95_ms`` took the Student-t quantile and empty report sums became 0.0;
 ``analyze-all-cached`` and ``analyze-all-broadcast`` when ``analyze``
 began printing runs of consecutive items as ``vAqQ-vBqQ``.
+``trace-block-crossing`` was recorded before the engine drew its random
+values in blocks: its runs draw over 1,800 values from every substream.
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
 in the format of ``RECORDED``.
 """
@@ -41,6 +43,12 @@ _TRACE_CFG = SimConfig(
     warmup_minutes=5.0, seed=3,
 )
 
+# About 1,850 arrivals: every substream the two traced schemes use hands
+# out several blocks of the engine's block draws.
+_BLOCK_CFG = SimConfig(
+    num_videos=3, arrival_rate_per_min=10.0, horizon_minutes=180.0, warmup_minutes=5.0, seed=3,
+)
+
 # (label, extra analyze flags): the dedicated report, a broadcast
 # reservation, everything cached, and every uncached item broadcast.
 _ANALYZE_CASES = (
@@ -65,6 +73,7 @@ RECORDED = {
     "analyze-all-cached": "ced58441c2fc0ea50f86ae09567be37c528adc95758269c447dd46fb205211f1",
     "analyze-all-broadcast": "ee4cd875bd0dd96077728b0fb369d9d6a165fbda389d416b4e62ca17aa7dc9c4",
     "capacity-reports": "5294fc4c398ae3eb5c2a487d4f9fa2f089912dda42daf980023e919525645fea",
+    "trace-block-crossing": "d84777dc1053a66077abca44818774a10f9a5a21141e972ceaaf727e8ef87ba3",
 }
 
 
@@ -119,6 +128,11 @@ def golden_digests(tmp_path) -> dict[str, str]:
     for label, flags in _ANALYZE_CASES:
         out[label] = _sha(_stdout_of(["analyze", "--config", str(cfg_path), *flags]))
     out["capacity-reports"] = _sha(_capacity_reports())
+
+    traces = io.StringIO()
+    for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE):
+        run_simulation(_BLOCK_CFG, scheme, trace=traces)
+    out["trace-block-crossing"] = _sha(traces.getvalue())
     return out
 
 
