@@ -106,7 +106,7 @@ class NeighborIndex:
     derivation sits with ``domain._MAX_GRID_CELLS``). Lookups return
     candidate ids; exact range filtering is the caller's job. The engine
     keeps one index over every present client and one per video over its
-    free holders only.
+    present holders, busy or not.
     """
 
     def __init__(self, range_m: float):
@@ -142,10 +142,6 @@ class NeighborIndex:
         return [cells[key] for x in range(cx - reach, cx + reach + 1)
                 for y in range(cy - reach, cy + reach + 1) if (key := (x, y)) in cells]
 
-    def ids_near(self, pos: tuple[float, float], reach: int = 1) -> list[int]:
-        """All ids in the block ``reach`` cells around ``pos``."""
-        return [cid for cell in self.cells_near(pos, reach) for cid in cell]
-
 
 @dataclass
 class WorldView:
@@ -155,9 +151,10 @@ class WorldView:
     decision it hands to :func:`acquire_first_segment`. The config,
     clients, indexes and pools are the engine's own objects, not copies;
     strategies only read them, so equal worlds produce equal outcomes.
-    ``index`` holds every present client; ``free_holders[video_id]`` holds
-    exactly the present clients that hold that video and are not uploading
+    ``index`` holds every present client; ``holders[video_id]`` holds
+    exactly the present clients that hold that video, uploading or not
     (the engine's mapping makes an empty grid on a video's first lookup).
+    A holder's ``uploading`` flag alone says it is busy.
     ``plan`` is the timetable every video shares.
     """
 
@@ -165,7 +162,7 @@ class WorldView:
     cfg: SimConfig
     clients: Mapping[int, object]
     index: NeighborIndex
-    free_holders: Mapping[int, NeighborIndex]
+    holders: Mapping[int, NeighborIndex]
     plan: BroadcastPlan
     lps_table: _balancer.LpsTable | None = None
     lps_pools: Mapping[int, object] | None = None
@@ -209,22 +206,23 @@ def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: in
 
 
 def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, until_ms: int):
-    """The first id of ``_candidates_in_range`` over the video's free holders, or None.
+    """The first id of ``_candidates_in_range`` over the video's holders not uploading, or None.
 
-    One pass keeps the least (dist2, id) so far; the filters are checked
+    The video's grid holds its busy holders too. One pass keeps the least
+    (dist2, id) so far; the filters, ``uploading`` among them, are checked
     only for a candidate that would replace it.
     """
     leave_by = until_ms - world.plan.cycle_ms
     clients = world.clients
     x, y = pos
     best_d2, best = world.cfg.client_range_m**2, None
-    for cell in world.free_holders[video_id].cells_near(pos):
+    for cell in world.holders[video_id].cells_near(pos):
         for cid in cell:
             rec = clients[cid]
             px, py = rec.position
             d2 = (x - px) ** 2 + (y - py) ** 2
             if ((d2 < best_d2 or d2 == best_d2 and (best is None or cid < best))
-                    and cid != skip_id and rec.playback_start_ms >= leave_by):
+                    and cid != skip_id and rec.playback_start_ms >= leave_by and not rec.uploading):
                 best_d2, best = d2, cid
     return best
 
@@ -235,8 +233,9 @@ def _find_relay(world: WorldView, client, until_ms: int):
     Both must stay present until ``until_ms``, when the relayed transfer ends.
     """
     # A via sits within one cell of the client and its holder within one
-    # cell of the via, so no holder within two cells means no relay.
-    if not world.free_holders[client.video_id].cells_near(client.position, 2):
+    # cell of the via, so no holder within two cells means no relay. A busy
+    # holder passes this probe; the holder search below then skips it.
+    if not world.holders[client.video_id].cells_near(client.position, 2):
         return None
     near = _candidates_in_range(world, client.position, client.id, world.index, until_ms)
     for _d2, zid, zrec in near:

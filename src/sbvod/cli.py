@@ -417,7 +417,20 @@ def _item_runs(flags: dict[tuple[int, int], bool]) -> str:
     return " ".join(f"v{a}q{q}" if a == b else f"v{a}q{q}-v{b}q{q}" for a, b, q in runs) or "(none)"
 
 
+def _check_analyze_flags(ns: argparse.Namespace) -> None:
+    """Reject a non-finite or out-of-range ``analyze`` flag before any computation."""
+    for flag, value, positive in (("--cache-mbit", ns.cache_mbit, False),
+                                  ("--reserved-mbps", ns.reserved_mbps, False),
+                                  ("--arrival-per-sec", ns.arrival_per_sec, False),
+                                  ("--service-minutes", ns.service_minutes, True)):
+        if value is not None and not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            raise ConfigError(f"{flag} must be a finite number {'>' if positive else '>='} 0, not {value:g}")
+    if ns.lps_channels < 1:
+        raise ConfigError(f"--lps-channels must be at least 1, not {ns.lps_channels}")
+
+
 def _cmd_analyze(ns: argparse.Namespace) -> int:
+    _check_analyze_flags(ns)
     cfg = _load_base_config(ns.config, None)
     videos = catalog_from_config(cfg)
     total_bits = sum(q.size_bits for v in videos for q in v.qualities)

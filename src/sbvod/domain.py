@@ -257,10 +257,12 @@ def load_config(path: str | Path) -> SimConfig:
     """Parse a flat ``key = value`` UTF-8 file into a SimConfig.
 
     Lines starting with ``#`` (and trailing ``#`` comments) are ignored.
-    Unknown keys raise ConfigError rather than being silently dropped.
+    Unknown and repeated keys raise ConfigError rather than being silently
+    dropped or overwritten.
     """
     field_types = {f.name: f.type for f in _dc_fields(SimConfig)}
     values: dict[str, object] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -273,6 +275,9 @@ def load_config(path: str | Path) -> SimConfig:
         val = val.strip()
         if key not in field_types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first on line {first_line[key]})")
+        first_line[key] = lineno
         ftype = field_types[key]
         try:
             if ftype == "int" or ftype is int:

@@ -194,9 +194,9 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
         self.clients: dict[int, ClientRecord] = {}
         self.index = NeighborIndex(cfg.client_range_m)
-        # Per video: exactly the present clients with holder and not uploading,
-        # in a grid made the first time the video is looked up.
-        self.free_holders = defaultdict(partial(NeighborIndex, cfg.client_range_m))
+        # Per video: exactly its present holders, busy or not, in a grid
+        # made the first time the video is looked up.
+        self.holders = defaultdict(partial(NeighborIndex, cfg.client_range_m))
 
         lps_ids = range(1, cfg.num_lps + 1)
         self.lps_table = balancer.LpsTable(
@@ -210,7 +210,7 @@ class Simulation:
             cfg=cfg,
             clients=self.clients,
             index=self.index,
-            free_holders=self.free_holders,
+            holders=self.holders,
             plan=self.plan,
             lps_table=self.lps_table,
             lps_pools=self.lps_pools,
@@ -320,7 +320,6 @@ class Simulation:
             if holder.uploading:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
-            self.free_holders[holder.video_id].remove(holder.id, holder.position)
             self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
             return
 
@@ -363,7 +362,6 @@ class Simulation:
             if not holder.uploading:
                 raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
             holder.uploading = False
-            self.free_holders[holder.video_id].add(holder.id, holder.position)
         elif c.fetch.source_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
         self._trace("fetch_complete", c.id)
@@ -373,7 +371,7 @@ class Simulation:
         c.state = ClientState.PLAYING
         if caching.on_playback_started(self.scheme, self.world_view(), self._rng_cache):
             c.holder = True
-            self.free_holders[c.video_id].add(c.id, c.position)
+            self.holders[c.video_id].add(c.id, c.position)
         # One cycle of K segments of duration D is the whole video.
         self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_playback_end, c.id)
 
@@ -387,7 +385,7 @@ class Simulation:
             raise SimulationError(f"holder {c.id} departed mid-upload")
         self.index.remove(c.id, c.position)
         if c.holder:
-            self.free_holders[c.video_id].remove(c.id, c.position)
+            self.holders[c.video_id].remove(c.id, c.position)
         del self.clients[c.id]
         self.departed += 1
         self._trace("departure", c.id)

@@ -39,11 +39,12 @@ _FETCH_5_MIN = 8_334
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
                por_pool=None, lps_pools=None, range_m=25.0):
     index = NeighborIndex(range_m)
-    free_holders = {1: NeighborIndex(range_m)}
+    # As in the engine, a video's grid holds its busy holders too.
+    holders = {1: NeighborIndex(range_m)}
     for c in clients:
         index.add(c.id, c.position)
-        if c.holder and not c.uploading:
-            free_holders.setdefault(c.video_id, NeighborIndex(range_m)).add(c.id, c.position)
+        if c.holder:
+            holders.setdefault(c.video_id, NeighborIndex(range_m)).add(c.id, c.position)
     table = None
     if lps_counts is not None:
         table = LpsTable([LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554") for i in sorted(lps_counts)])
@@ -58,12 +59,17 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
                       bandwidth_mbps=54.0, random_cache_prob=0.5),
         clients={c.id: c for c in clients},
         index=index,
-        free_holders=free_holders,
+        holders=holders,
         plan=build_plan(60, 5),
         lps_table=table,
         lps_pools=lps_pools,
         por_pool=por_pool,
     )
+
+
+def ids_near(index, pos, reach=1):
+    """All ids in the block ``reach`` cells around ``pos``."""
+    return [cid for cell in index.cells_near(pos, reach) for cid in cell]
 
 
 def client(cid, x=0.0, y=0.0, holder=False, uploading=False, video_id=1, playback_start_ms=0):
@@ -303,7 +309,7 @@ def _ref_candidates(world, pos, skip_id, until_ms):
     """Every present client in range that stays until ``until_ms``, sorted by (dist2, id)."""
     r2 = world.cfg.client_range_m**2
     out = []
-    for cid in world.index.ids_near(pos):
+    for cid in ids_near(world.index, pos):
         if cid == skip_id:
             continue
         rec = world.clients.get(cid)
@@ -546,16 +552,16 @@ class TestNeighborIndex:
         idx.add(1, (0.0, 0.0))
         idx.add(2, (24.0, 0.0))
         idx.add(3, (80.0, 80.0))
-        near = set(idx.ids_near((0.0, 0.0)))
+        near = set(ids_near(idx, (0.0, 0.0)))
         assert {1, 2} <= near
         assert 3 not in near
         idx.remove(2, (24.0, 0.0))
-        assert 2 not in set(idx.ids_near((0.0, 0.0)))
+        assert 2 not in set(ids_near(idx, (0.0, 0.0)))
 
     def test_negative_coordinates(self):
         idx = NeighborIndex(25.0)
         idx.add(1, (-10.0, -10.0))
-        assert 1 in set(idx.ids_near((-1.0, -1.0)))
+        assert 1 in set(ids_near(idx, (-1.0, -1.0)))
 
     def test_remove_missing_raises(self):
         idx = NeighborIndex(25.0)
@@ -577,9 +583,9 @@ class TestNeighborIndex:
         idx.add(2, h)
         r2 = r**2
         if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= r2:
-            assert 1 in set(idx.ids_near(q))
+            assert 1 in set(ids_near(idx, q))
             if (h[0] - p[0]) ** 2 + (h[1] - p[1]) ** 2 <= r2:
-                assert 2 in set(idx.ids_near(q, 2))
+                assert 2 in set(ids_near(idx, q, 2))
 
     def test_block_is_superset_of_range(self):
         rng = random.Random(11)
@@ -591,7 +597,7 @@ class TestNeighborIndex:
             idx.add(cid, p)
         for _ in range(30):
             q = (rng.uniform(-150, 150), rng.uniform(-150, 150))
-            got = set(idx.ids_near(q))
+            got = set(ids_near(idx, q))
             for cid, p in pts.items():
                 if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= 25.0**2:
                     assert cid in got

@@ -327,6 +327,27 @@ class TestMain:
         assert "cached_items              v1q1-v50000q1" in lines
         assert max(len(ln) for ln in lines) <= 200
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--reserved-mbps", "-3"), ("--reserved-mbps", "nan"), ("--reserved-mbps", "inf"),
+        ("--cache-mbit", "nan"), ("--cache-mbit", "-1"), ("--cache-mbit", "inf"),
+        ("--service-minutes", "nan"), ("--service-minutes", "inf"), ("--service-minutes", "0"),
+        ("--arrival-per-sec", "inf"), ("--arrival-per-sec", "nan"), ("--arrival-per-sec", "-1"),
+        ("--lps-channels", "0"),
+    ])
+    def test_bad_analyze_flag_is_usage_error_before_any_output(self, tmp_path, capsys, flag, value):
+        out_csv = tmp_path / "cap.csv"
+        code = main(["analyze", flag, value, "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"sbvod: {flag} must be ")
+        assert captured.out == ""
+        assert not out_csv.exists()
+
+    def test_analyze_accepts_a_zero_arrival_rate(self, capsys):
+        # The rate's range includes 0, as the cache size's and reservation's do.
+        assert main(["analyze", "--arrival-per-sec", "0"]) == 0
+        assert "blocking_prob" in capsys.readouterr().out
+
     def test_item_runs_break_at_gaps_and_quality_changes(self):
         flags = {(1, 1): True, (2, 1): True, (3, 1): False, (4, 1): True, (5, 1): True,
                  (6, 1): True, (7, 2): True, (8, 2): True, (10, 1): True}

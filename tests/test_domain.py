@@ -262,6 +262,14 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="key = value"):
             load_config(p)
 
+    def test_duplicate_key(self, tmp_path):
+        # Last-wins would run with seed 2 and hide the first line.
+        p = tmp_path / "dup.cfg"
+        p.write_text("seed = 1\n# again\nseed = 2\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as err:
+            load_config(p)
+        assert str(err.value) == f"{p}:3: duplicate key 'seed' (first on line 1)"
+
 
 class TestRandomSource:
     def test_derived_seeds_are_stable(self):

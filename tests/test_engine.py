@@ -2,6 +2,7 @@
 
 import dataclasses
 import heapq
+import io
 import math
 import random
 import tracemalloc
@@ -17,6 +18,7 @@ from sbvod.analytic import erlang_b
 from sbvod.caching import SchemeId, SourceKind
 from sbvod.domain import MS_PER_MINUTE, SimConfig, validate_config
 from sbvod.engine import (
+    ClientRecord,
     ClientState,
     Simulation,
     SimulationError,
@@ -250,7 +252,7 @@ class TestSimulationLifecycle:
 
     def test_setup_does_not_grow_with_the_catalog(self):
         # The largest catalog that validates. Building a catalog entry and a
-        # free-holder grid per video held about 65 MB before the first event.
+        # holder grid per video held about 65 MB before the first event.
         cfg = SimConfig(num_videos=10**5, consumption_rate_mbps=1e-4, horizon_minutes=5,
                         warmup_minutes=0)
         tracemalloc.start()
@@ -262,7 +264,7 @@ class TestSimulationLifecycle:
         assert held < 10 * 2**20
         report = sim.run()
         assert report.arrivals > 0
-        assert set(sim.free_holders) <= set(range(1, cfg.num_videos + 1))
+        assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
 
 
 class TestRunMetrics:
@@ -371,19 +373,48 @@ class TestHolderExclusivity:
                     assert sim.clients[hid].uploading
         assert all(not c.uploading for c in sim.clients.values())
 
+    def test_upload_may_end_as_its_holder_finishes_playing(self):
+        # The search admits a holder whose playback ends exactly when the
+        # transfer would (until_ms - cycle_ms == playback_start_ms). That
+        # holder's departure is scheduled by its same-ms playback end, so it
+        # runs after the fetch_complete already queued for that ms.
+        trace = io.StringIO()
+        cfg = SimConfig(client_range_m=400.0, horizon_minutes=1.0, warmup_minutes=0.0, seed=1)
+        sim = Simulation(cfg, SchemeId.ALL_CACHE, trace=trace)
+        holder = ClientRecord(id=1, arrival_ms=0, position=(0.0, 0.0), video_id=1,
+                              playback_start_ms=0)
+        sim.clients[1] = holder
+        sim.arrived = 1
+        sim.index.add(1, holder.position)
+        sim._begin_playback(holder)  # playback ends at 3,600,000
+        # 700,501 ms into a 12-minute slot: ceil(700,501 * 1.5 / 54) = 19,459 ms
+        # of fetch after 40 ms of hops ends at 3,580,501 + 40 + 19,459 = 3,600,000.
+        sim._schedule(3_580_501, sim._on_arrival)
+        assert sim.step()
+        newcomer = sim.clients[2]
+        assert newcomer.fetch.source_kind is SourceKind.NEIGHBOR
+        assert newcomer.fetch.holder_id == 1
+        assert newcomer.fetch_end_ms == holder.playback_start_ms + sim.plan.cycle_ms == 3_600_000
+        while sim.step():
+            pass
+        assert sim.arrived == sim.departed == 2 and not sim.clients
+        lines = trace.getvalue().splitlines()
+        assert lines.index("3600000 fetch_complete client=2") < lines.index("3600000 departure client=1")
+
 
 def _grid_ids(grid):
     ids = [cid for cell in grid._cells.values() for cid in cell]
-    assert len(ids) == len(set(ids)), "a client is in one free-holder grid twice"
+    assert len(ids) == len(set(ids)), "a client is in one holder grid twice"
     return set(ids)
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
 def test_free_holder_grids_track_eligible_holders(scheme):
-    # Two-minute videos on one channel over a link just wide enough for
-    # seven of them: fetches last up to a seventh of the video, so holders
-    # near the end of playback would leave mid-upload if the search did not
-    # skip them.
+    # Each video's grid holds exactly its present holders, busy or not,
+    # after every event. Two-minute videos on one channel over a link just
+    # wide enough for seven of them: fetches last up to a seventh of the
+    # video, so holders near the end of playback would leave mid-upload if
+    # the search did not skip them.
     cfg = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
                     lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
                     warmup_minutes=5.0, seed=2)
@@ -394,13 +425,10 @@ def test_free_holder_grids_track_eligible_holders(scheme):
         if handler.__func__ is Simulation._on_departure:
             assert not sim.clients[cid].uploading, (sim.now, cid)
         sim.step()
-        for vid, grid in sim.free_holders.items():
-            want = {
-                c.id for c in sim.clients.values()
-                if c.video_id == vid and c.holder and not c.uploading
-            }
+        for vid, grid in sim.holders.items():
+            want = {c.id for c in sim.clients.values() if c.video_id == vid and c.holder}
             assert _grid_ids(grid) == want, (sim.now, vid)
-    assert set(sim.free_holders) <= set(range(1, cfg.num_videos + 1))
+    assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
     assert sim.report.outcome_counts["neighbor"] > 0
 
 
