@@ -184,13 +184,13 @@ def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
 
 def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
                          index: NeighborIndex, until_ms: int):
-    """(dist2, id, record) for each client of ``index`` in radio range, nearest first.
-
-    A client whose playback ends before ``until_ms`` departs before a
-    transfer ending then would, so it is left out.
-    """
+    """(dist2, id, record) for each client of ``index`` in radio range, nearest first."""
     r2 = world.cfg.client_range_m**2
-    leave_by = until_ms - world.plan.cycle_ms  # playback started before this ends too soon
+    # A client leaves as its playback ends, so it serves only if that is strictly
+    # after until_ms, when the transfer ends. Every search asks for until_ms >= now,
+    # so a client leaving now is out whether or not its departure has run yet, and
+    # no transfer ends as its source leaves: same-ms event order cannot matter.
+    leave_by = until_ms - world.plan.cycle_ms  # playback started at or before this ends too soon
     clients = world.clients
     x, y = pos
     out = []
@@ -199,7 +199,7 @@ def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: in
             rec = clients[cid]
             px, py = rec.position
             d2 = (x - px) ** 2 + (y - py) ** 2
-            if d2 <= r2 and cid != skip_id and rec.playback_start_ms >= leave_by:
+            if d2 <= r2 and cid != skip_id and rec.playback_start_ms > leave_by:
                 out.append((d2, cid, rec))
     out.sort()  # ids are unique, so records are never compared
     return out
@@ -212,7 +212,7 @@ def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, unt
     (dist2, id) so far; the filters, ``uploading`` among them, are checked
     only for a candidate that would replace it.
     """
-    leave_by = until_ms - world.plan.cycle_ms
+    leave_by = until_ms - world.plan.cycle_ms  # strict, as in _candidates_in_range
     clients = world.clients
     x, y = pos
     best_d2, best = world.cfg.client_range_m**2, None
@@ -222,7 +222,7 @@ def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, unt
             px, py = rec.position
             d2 = (x - px) ** 2 + (y - py) ** 2
             if ((d2 < best_d2 or d2 == best_d2 and (best is None or cid < best))
-                    and cid != skip_id and rec.playback_start_ms >= leave_by and not rec.uploading):
+                    and cid != skip_id and rec.playback_start_ms > leave_by and not rec.uploading):
                 best_d2, best = d2, cid
     return best
 

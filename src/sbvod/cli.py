@@ -478,6 +478,13 @@ def main(argv: list[str] | None = None) -> int:
     ns = parse_args(argv)
     commands = {"simulate": _cmd_simulate, "experiment": _cmd_experiment, "analyze": _cmd_analyze}
     try:
+        # Every command takes --out; a path that cannot be written fails before any run.
+        if ns.out is not None:
+            out = Path(ns.out)
+            if not out.parent.is_dir():
+                raise ConfigError(f"--out directory {out.parent} does not exist")
+            if out.is_dir():
+                raise ConfigError(f"--out {out} is a directory")
         return commands[ns.command](ns)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"sbvod: {exc}", file=sys.stderr)

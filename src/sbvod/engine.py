@@ -372,12 +372,9 @@ class Simulation:
         if caching.on_playback_started(self.scheme, self.world_view(), self._rng_cache):
             c.holder = True
             self.holders[c.video_id].add(c.id, c.position)
-        # One cycle of K segments of duration D is the whole video.
-        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_playback_end, c.id)
-
-    def _on_playback_end(self, client_id: int) -> None:
-        self._trace("playback_end", client_id)
-        self._schedule(self.now, self._on_departure, client_id)
+        # One cycle of K segments of duration D is the whole video; the
+        # client leaves as its playback ends.
+        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_departure, c.id)
 
     def _on_departure(self, client_id: int) -> None:
         c = self.clients[client_id]

@@ -224,8 +224,13 @@ class TestNeighborSchemes:
         out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving], now_ms=now))
         assert out.failed
-        # A holder whose playback ends as the transfer ends still serves it.
+        # A holder whose playback ends as the transfer ends leaves with it,
+        # so it is skipped too; one that ends 1 ms later serves.
         leaving.playback_start_ms = now + 2 * LATENCY + _FETCH_5_MIN - 60 * MIN
+        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying], now_ms=now))
+        assert out.holder_id == 3
+        leaving.playback_start_ms += 1
         out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying], now_ms=now))
         assert out.holder_id == 2
@@ -265,6 +270,16 @@ class TestDscRelay:
         out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, holder], now_ms=now))
         assert out.failed
+        # A via whose playback ends as the relayed transfer ends is skipped;
+        # one that ends 1 ms later serves.
+        leaving.playback_start_ms = now + 3 * LATENCY + _FETCH_5_MIN - 60 * MIN
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+        assert (out.via_id, out.holder_id) == (3, 4)
+        leaving.playback_start_ms += 1
+        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+        assert (out.via_id, out.holder_id) == (2, 4)
         # A relay holder that leaves first is skipped the same way.
         holder.playback_start_ms = 5 * MIN
         out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
@@ -306,7 +321,7 @@ class TestDscRelay:
 
 
 def _ref_candidates(world, pos, skip_id, until_ms):
-    """Every present client in range that stays until ``until_ms``, sorted by (dist2, id)."""
+    """Every present client in range that stays past ``until_ms``, sorted by (dist2, id)."""
     r2 = world.cfg.client_range_m**2
     out = []
     for cid in ids_near(world.index, pos):
@@ -316,7 +331,7 @@ def _ref_candidates(world, pos, skip_id, until_ms):
         if rec is None:
             continue
         d2 = (pos[0] - rec.position[0]) ** 2 + (pos[1] - rec.position[1]) ** 2
-        if d2 <= r2 and rec.playback_start_ms + 60 * MIN >= until_ms:
+        if d2 <= r2 and rec.playback_start_ms + 60 * MIN > until_ms:
             out.append((d2, cid, rec))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
@@ -359,7 +374,8 @@ def _random_point(rng):
     return rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0)
 
 
-_STARTS = (5 * MIN, 5 * MIN + 2 * LATENCY + _FETCH_5_MIN) + (10 * MIN,) * 6
+_STARTS = (5 * MIN, 5 * MIN + 2 * LATENCY + _FETCH_5_MIN, 5 * MIN + 3 * LATENCY + _FETCH_5_MIN,
+           *(10 * MIN,) * 5)
 
 
 def test_search_matches_sort_every_candidate_reference():
@@ -368,7 +384,8 @@ def test_search_matches_sort_every_candidate_reference():
     for _ in range(600):
         held, busy = rng.random(), rng.random()
         # At 65 min, playback that started at 5 min has ended; one that
-        # started 40 ms + a fetch later ends as a direct transfer would.
+        # started 40 ms + a fetch later ends as a direct transfer would, and
+        # 60 ms + a fetch later as a relayed one would.
         people = [
             client(cid, *_random_point(rng), holder=rng.random() < held,
                    uploading=rng.random() < busy, video_id=rng.randint(1, 3),

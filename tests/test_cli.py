@@ -311,6 +311,29 @@ class TestMain:
         assert capsys.readouterr().err.startswith("sbvod: ")
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--scheme", "dsc"],
+        ["experiment", "--name", "custom", "--sweep-var", "arrival", "--sweep=4", "--reps", "1"],
+        ["analyze"],
+    ], ids=["simulate", "experiment", "analyze"])
+    def test_unwritable_out_is_usage_error_before_any_run(self, tmp_path, capsys, monkeypatch,
+                                                          command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran before checking --out")
+
+        for name in ("run_simulation", "run_many", "catalog_from_config"):
+            monkeypatch.setattr(cli, name, no_run)
+        missing = tmp_path / "missing"
+        for out, err in ((missing / "x.csv", f"--out directory {missing} does not exist"),
+                         (tmp_path, f"--out {tmp_path} is a directory"),
+                         ("", "--out . is a directory")):
+            code = main([*command, "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.err == f"sbvod: {err}\n"
+            assert captured.out == ""
+        assert not missing.exists()
+
     def test_analyze_prints_capacity_report(self, capsys):
         code = main(["analyze", "--cache-mbit", "0", "--service-minutes", "60"])
         out = capsys.readouterr().out

@@ -373,11 +373,12 @@ class TestHolderExclusivity:
                     assert sim.clients[hid].uploading
         assert all(not c.uploading for c in sim.clients.values())
 
-    def test_upload_may_end_as_its_holder_finishes_playing(self):
-        # The search admits a holder whose playback ends exactly when the
-        # transfer would (until_ms - cycle_ms == playback_start_ms). That
-        # holder's departure is scheduled by its same-ms playback end, so it
-        # runs after the fetch_complete already queued for that ms.
+    @staticmethod
+    def _late_arrival_beside_a_holder(arrival_ms):
+        """Holder 1 at the origin plays from 0 to 3,600,000; client 2 arrives at ``arrival_ms``.
+
+        Steps the arrival and returns the run, its newcomer and a trace buffer.
+        """
         trace = io.StringIO()
         cfg = SimConfig(client_range_m=400.0, horizon_minutes=1.0, warmup_minutes=0.0, seed=1)
         sim = Simulation(cfg, SchemeId.ALL_CACHE, trace=trace)
@@ -386,20 +387,39 @@ class TestHolderExclusivity:
         sim.clients[1] = holder
         sim.arrived = 1
         sim.index.add(1, holder.position)
-        sim._begin_playback(holder)  # playback ends at 3,600,000
-        # 700,501 ms into a 12-minute slot: ceil(700,501 * 1.5 / 54) = 19,459 ms
-        # of fetch after 40 ms of hops ends at 3,580,501 + 40 + 19,459 = 3,600,000.
-        sim._schedule(3_580_501, sim._on_arrival)
+        sim._begin_playback(holder)
+        assert holder.playback_start_ms + sim.plan.cycle_ms == 3_600_000
+        sim._schedule(arrival_ms, sim._on_arrival)
         assert sim.step()
-        newcomer = sim.clients[2]
+        return sim, sim.clients[2], trace
+
+    def test_upload_must_end_before_its_holder_finishes_playing(self):
+        # A holder serves only if its playback, and so its presence, ends
+        # strictly after the transfer. 700,500 ms into a 12-minute slot, the
+        # fetch takes ceil(700,500 * 1.5 / 54) = 19,459 ms after 40 ms of
+        # hops: it ends at 3,580,500 + 40 + 19,459 = 3,599,999, 1 ms before
+        # the holder leaves, so the holder serves it.
+        sim, newcomer, trace = self._late_arrival_beside_a_holder(3_580_500)
         assert newcomer.fetch.source_kind is SourceKind.NEIGHBOR
         assert newcomer.fetch.holder_id == 1
-        assert newcomer.fetch_end_ms == holder.playback_start_ms + sim.plan.cycle_ms == 3_600_000
+        assert newcomer.fetch_end_ms == 3_599_999
         while sim.step():
             pass
         assert sim.arrived == sim.departed == 2 and not sim.clients
         lines = trace.getvalue().splitlines()
-        assert lines.index("3600000 fetch_complete client=2") < lines.index("3600000 departure client=1")
+        assert lines.index("3599999 fetch_complete client=2") < lines.index("3600000 departure client=1")
+
+        # 1 ms later the fetch (ceil(700,501 * 1.5 / 54) = 19,459 ms) would
+        # end at 3,600,000, as the holder leaves: it is skipped, and the
+        # newcomer falls back to the slot opening then.
+        sim, newcomer, _trace = self._late_arrival_beside_a_holder(3_580_501)
+        assert newcomer.state is ClientState.AWAITING_SLOT
+        assert newcomer.playback_start_ms == 3_600_000
+        assert sim.report.failures == sim.report.attempts == 1
+        assert sim.report.outcome_counts["channel_slot"] == 1
+        while sim.step():
+            pass
+        assert sim.arrived == sim.departed == 2 and not sim.clients
 
 
 def _grid_ids(grid):
@@ -425,6 +445,10 @@ def test_free_holder_grids_track_eligible_holders(scheme):
         if handler.__func__ is Simulation._on_departure:
             assert not sim.clients[cid].uploading, (sim.now, cid)
         sim.step()
+        # A client leaves as its playback ends, not later.
+        for c in sim.clients.values():
+            if c.playback_start_ms is not None:
+                assert c.playback_start_ms + sim.plan.cycle_ms >= sim.now, (sim.now, c.id)
         for vid, grid in sim.holders.items():
             want = {c.id for c in sim.clients.values() if c.video_id == vid and c.holder}
             assert _grid_ids(grid) == want, (sim.now, vid)

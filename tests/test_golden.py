@@ -12,6 +12,9 @@ output, record the new digest here and say why in CHANGES.md. The
 began printing runs of consecutive items as ``vAqQ-vBqQ``.
 ``trace-block-crossing`` was recorded before the engine drew its random
 values in blocks: its runs draw over 1,800 values from every substream.
+The seven ``trace-*`` digests were re-recorded when departure began to
+fire at playback end, which drops every ``playback_end`` line and may move
+a departure earlier among the events of its ms.
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
 in the format of ``RECORDED``.
 """
@@ -62,18 +65,18 @@ RECORDED = {
     "experiment-csv": "8fe5d6388c755a1735c211db0c0ddb34e2bf2c81181b3c3a0bda13d7a15ee363",
     "simulate-text": "4457b3730199e19b0e42eb0af18dad61c7af9d82a79ccaf7d1d385acbf014063",
     "simulate-csv": "94216345c85b202dc0cc6dbde96271d5dbf55afe5adc3f59912ebde8fcdf87c9",
-    "trace-no-cache": "a6a81ecd94f1d025a63cbdda738aefb203aa314284d7985ca11bd6b55f2df6a6",
-    "trace-all-cache": "ae676d56e969d10297932c61975c88149e4d9bce05593c9676b6e15adc8c5359",
-    "trace-random-cache": "0e5b42a6741c3a6ea62ffc65fd8979499ba551f4d30da5e90037d6563034f04e",
-    "trace-dsc-cache": "908471be00da15ba173ef970aa16ab734a22d4322d48e17f48176c0eb92bdf2d",
-    "trace-por-cache": "3c0f7b6015da6dcfca0c7648856e6a801d135ffb121d3fad688fa224bc672415",
-    "trace-proxy-cache": "e07289ef9880732791eb99d4cd676d547431760e667ceeb5adf43b26faea4200",
+    "trace-no-cache": "505b7669d71daaa5111ae3b05432c6009bb1a63d1a6842cca302284e164f5023",
+    "trace-all-cache": "e60227fadd2cfe9aa455637f3485a39d244117750111f6321b8901983ba8ba24",
+    "trace-random-cache": "61c374c26b39df1b1b12d0f7c8277e262435df4cb1f57652310756794a6d15da",
+    "trace-dsc-cache": "fda79797bb57c18ad09c40eb2be0ce645580308239f9029b419838be3dd0ab2f",
+    "trace-por-cache": "e5dd6d581275196328604f743e39c573c8331accc4f29a242cb892373a8b2883",
+    "trace-proxy-cache": "d06919c69409f51377aea582ce8f2148acfd5431371eb444ec0c0ba443f064db",
     "analyze": "78ad8aec8975567e649446f899b2ab25358201d560b203a31d45058013676027",
     "analyze-reserved": "0f23aee57f6e8cb9273ede45181df2c44626fdaa5b2c911bed8b5b67bfa997d8",
     "analyze-all-cached": "ced58441c2fc0ea50f86ae09567be37c528adc95758269c447dd46fb205211f1",
     "analyze-all-broadcast": "ee4cd875bd0dd96077728b0fb369d9d6a165fbda389d416b4e62ca17aa7dc9c4",
     "capacity-reports": "5294fc4c398ae3eb5c2a487d4f9fa2f089912dda42daf980023e919525645fea",
-    "trace-block-crossing": "d84777dc1053a66077abca44818774a10f9a5a21141e972ceaaf727e8ef87ba3",
+    "trace-block-crossing": "6184b4fb17702c32bf75e4f68f29eb16c97c4aa98dda3783dd007d4bd96295c0",
 }
 
 
