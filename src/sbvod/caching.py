@@ -21,7 +21,7 @@ from typing import Mapping
 
 from . import balancer as _balancer
 from .domain import _CELL_SLACK, SimConfig
-from .sb_scheduler import BroadcastPlan, classify_arrival
+from .sb_scheduler import ArrivalClass, BroadcastPlan
 
 
 class SchemeId(Enum):
@@ -182,67 +182,59 @@ def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
     return int(math.ceil(missed_ms * ratio))
 
 
-def _candidates_in_range(world: WorldView, pos: tuple[float, float], skip_id: int,
-                         index: NeighborIndex, until_ms: int):
-    """(dist2, id, record) for each client of ``index`` in radio range, nearest first."""
-    r2 = world.cfg.client_range_m**2
+def _nearest(world: WorldView, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
+             until_ms: int, serves):
+    """(id, value) of the least (dist2, id) client of ``grid`` that serves, or None.
+
+    A client other than ``skip_id`` serves if it is in radio range of ``pos``,
+    stays past ``until_ms``, when the transfer ends, and ``serves(record)``
+    gives a value that is not None. One pass keeps the least (dist2, id) so
+    far and calls ``serves`` only for a candidate that would replace it;
+    ``serves`` only reads the world, so this is the first serving client in
+    (dist2, id) order.
+    """
     # A client leaves as its playback ends, so it serves only if that is strictly
-    # after until_ms, when the transfer ends. Every search asks for until_ms >= now,
-    # so a client leaving now is out whether or not its departure has run yet, and
-    # no transfer ends as its source leaves: same-ms event order cannot matter.
+    # after until_ms. Every search asks for until_ms >= now, so a client leaving
+    # now is out whether or not its departure has run yet, and no transfer ends
+    # as its source leaves: same-ms event order cannot matter.
     leave_by = until_ms - world.plan.cycle_ms  # playback started at or before this ends too soon
     clients = world.clients
     x, y = pos
-    out = []
-    for cell in index.cells_near(pos):
+    best_d2, best_id, best_value = world.cfg.client_range_m**2, None, None
+    for cell in grid.cells_near(pos):
         for cid in cell:
             rec = clients[cid]
             px, py = rec.position
             d2 = (x - px) ** 2 + (y - py) ** 2
-            if d2 <= r2 and cid != skip_id and rec.playback_start_ms > leave_by:
-                out.append((d2, cid, rec))
-    out.sort()  # ids are unique, so records are never compared
-    return out
+            if ((d2 < best_d2 or d2 == best_d2 and (best_id is None or cid < best_id))
+                    and cid != skip_id and rec.playback_start_ms > leave_by
+                    and (value := serves(rec)) is not None):
+                best_d2, best_id, best_value = d2, cid, value
+    return None if best_id is None else (best_id, best_value)
 
 
-def _nearest_free_holder(world: WorldView, pos, video_id: int, skip_id: int, until_ms: int):
-    """The first id of ``_candidates_in_range`` over the video's holders not uploading, or None.
-
-    The video's grid holds its busy holders too. One pass keeps the least
-    (dist2, id) so far; the filters, ``uploading`` among them, are checked
-    only for a candidate that would replace it.
-    """
-    leave_by = until_ms - world.plan.cycle_ms  # strict, as in _candidates_in_range
-    clients = world.clients
-    x, y = pos
-    best_d2, best = world.cfg.client_range_m**2, None
-    for cell in world.holders[video_id].cells_near(pos):
-        for cid in cell:
-            rec = clients[cid]
-            px, py = rec.position
-            d2 = (x - px) ** 2 + (y - py) ** 2
-            if ((d2 < best_d2 or d2 == best_d2 and (best is None or cid < best))
-                    and cid != skip_id and rec.playback_start_ms > leave_by and not rec.uploading):
-                best_d2, best = d2, cid
-    return best
+def _free(holder) -> bool | None:
+    """A holder serves unless it is uploading; a video's grid holds its busy holders too."""
+    return None if holder.uploading else True
 
 
 def _find_relay(world: WorldView, client, until_ms: int):
-    """First (via, holder) pair reachable in two hops, nearest-first.
+    """(via, holder) for the nearest via with a free holder in its range, or None.
 
     Both must stay present until ``until_ms``, when the relayed transfer ends.
     """
+    holders = world.holders[client.video_id]
     # A via sits within one cell of the client and its holder within one
     # cell of the via, so no holder within two cells means no relay. A busy
     # holder passes this probe; the holder search below then skips it.
-    if not world.holders[client.video_id].cells_near(client.position, 2):
+    if not holders.cells_near(client.position, 2):
         return None
-    near = _candidates_in_range(world, client.position, client.id, world.index, until_ms)
-    for _d2, zid, zrec in near:
-        holder = _nearest_free_holder(world, zrec.position, client.video_id, zid, until_ms)
-        if holder is not None and holder != client.id:
-            return zid, holder
-    return None
+
+    def via_holder(via):
+        found = _nearest(world, holders, via.position, via.id, until_ms, _free)
+        return None if found is None or found[0] == client.id else found[0]
+
+    return _nearest(world, world.index, client.position, client.id, until_ms, via_holder)
 
 
 def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) -> AcquisitionOutcome:
@@ -258,16 +250,17 @@ def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) ->
     )
 
 
-def acquire_first_segment(scheme: SchemeId, client, world: WorldView) -> AcquisitionOutcome:
+def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
+                          arrival: ArrivalClass) -> AcquisitionOutcome:
     """Decide how a late client obtains the opening of segment 1.
 
-    The client missed the current segment-1 slot by some margin; every
+    ``arrival`` is ``classify_arrival`` of the plan at ``world.now_ms``. The
+    client missed the current segment-1 slot by some margin; every
     scheme may fall back to the next slot (``wait_ms`` away), and the
     queue-backed schemes refuse a queue that would outlast that slot,
     which is what makes their acquisition failures impossible while spare
     capacity exists.
     """
-    arrival = classify_arrival(world.plan, world.now_ms)
     if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms
@@ -280,13 +273,13 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView) -> Acquisi
     if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
         # A transfer ends its startup delay (two hops, three via a relay)
         # plus the fetch after now.
-        holder = _nearest_free_holder(world, client.position, client.video_id, client.id,
-                                      world.now_ms + 2 * latency + fetch_ms)
-        if holder is not None:
+        found = _nearest(world, world.holders[client.video_id], client.position, client.id,
+                         world.now_ms + 2 * latency + fetch_ms, _free)
+        if found is not None:
             return AcquisitionOutcome(
                 source_kind=SourceKind.NEIGHBOR,
                 startup_delay_ms=2 * latency,
-                holder_id=holder,
+                holder_id=found[0],
                 fetch_ms=fetch_ms,
             )
         if scheme is SchemeId.DSC_CACHE:

@@ -254,16 +254,21 @@ def validate_config(cfg: SimConfig) -> list[str]:
 
 
 def load_config(path: str | Path) -> SimConfig:
-    """Parse a flat ``key = value`` UTF-8 file into a SimConfig.
+    """Parse a flat ``key = value`` UTF-8 file, byte-order mark allowed, into a SimConfig.
 
     Lines starting with ``#`` (and trailing ``#`` comments) are ignored.
     Unknown and repeated keys raise ConfigError rather than being silently
-    dropped or overwritten.
+    dropped or overwritten, and so does a file that cannot be read.
     """
     field_types = {f.name: f.type for f in _dc_fields(SimConfig)}
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -90,13 +90,13 @@ class MetricsReport:
     failures: int = 0
     outcome_counts: dict[str, int] = field(default_factory=lambda: {k.value: 0 for k in SourceKind})
 
-    def add(self, out: AcquisitionOutcome, attempt: bool) -> None:
-        """Count one arrival; ``attempt`` is whether it tried a source other than the slot."""
+    def add(self, out: AcquisitionOutcome) -> None:
+        """Count one arrival; it attempted a source other than the slot if it failed or got one."""
         self.delay_sum_ms += out.startup_delay_ms
         self.outcome_counts[out.source_kind.value] += 1
         if out.lps_id is not None:
             self.lps_requests[out.lps_id] += 1
-        if attempt:
+        if out.failed or out.source_kind is not SourceKind.CHANNEL_SLOT:
             self.attempts += 1
             if out.failed:
                 self.failures += 1
@@ -124,11 +124,11 @@ class MetricsReport:
 class StreamPool:
     """Fixed number of concurrent first-segment streams plus a FIFO queue.
 
-    ``_ends`` is a min-heap of the instants at which each busy or promised
+    ``_ends`` is a min-heap of the instants at which each busy or reserved
     slot falls free; an entry at or before now is a free slot. Every hold
-    is known at enqueue time, so a queued job is promised the earliest slot
-    at once: a new arrival's wait is the heap's head, and the grant instants
-    it promises are the ones the event loop later delivers.
+    is known when it is reserved, so a queued job takes the earliest slot
+    at once: a new arrival's wait is the heap's head, and ``reserve`` grants
+    the slot at exactly that wait.
     """
 
     def __init__(self, capacity: int):
@@ -144,20 +144,16 @@ class StreamPool:
             return 0
         return max(0, self._ends[0] - now_ms)
 
-    def admit(self, now_ms: int, end_ms: int) -> None:
-        """Start a stream now on a free slot, reusing a slot that fell free first."""
-        if self._ends and self._ends[0] <= now_ms:
-            heapq.heapreplace(self._ends, end_ms)
-        elif len(self._ends) < self.capacity:
-            heapq.heappush(self._ends, end_ms)
-        else:
-            raise SimulationError("stream pool admitted past capacity")
-
-    def enqueue(self, client_id: int, hold_ms: int) -> None:
-        if len(self._ends) < self.capacity:
-            raise SimulationError("enqueue into a stream pool with a free slot")
-        heapq.heapreplace(self._ends, self._ends[0] + hold_ms)
-        self._pending.append(client_id)
+    def reserve(self, client_id: int, now_ms: int, end_ms: int) -> int:
+        """Hold the earliest slot, reusing one that fell free, until ``end_ms``; returns the grant."""
+        ends = self._ends
+        if len(ends) < self.capacity and (not ends or ends[0] > now_ms):
+            heapq.heappush(ends, end_ms)
+            return now_ms
+        grant_ms = max(now_ms, heapq.heapreplace(ends, end_ms))
+        if grant_ms > now_ms:
+            self._pending.append(client_id)
+        return grant_ms
 
     def pop_pending(self) -> int:
         return self._pending.popleft()
@@ -286,18 +282,18 @@ class Simulation:
         self.clients[cid] = c
         self.index.add(cid, c.position)
 
-        cls = classify_arrival(self.plan, self.now)
-        self._trace("arrival", cid, f"video={c.video_id} missed={cls.missed_ms}")
+        arrival = classify_arrival(self.plan, self.now)
+        self._trace("arrival", cid, f"video={c.video_id} missed={arrival.missed_ms}")
 
-        if cls.on_time:
+        if arrival.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
             self._apply_outcome(c, _ON_TIME)
         else:
-            self._apply_outcome(c, caching.acquire_first_segment(self.scheme, c, self.world_view()))
+            self._apply_outcome(c, caching.acquire_first_segment(self.scheme, c, self.world_view(), arrival))
 
     def _apply_outcome(self, c: ClientRecord, out: AcquisitionOutcome) -> None:
         if c.arrival_ms > self.warmup_ms:
-            self.report.add(out, attempt=out is not _ON_TIME and self.scheme is not SchemeId.NO_CACHE)
+            self.report.add(out)
 
         if out is _ON_TIME:
             c.playback_start_ms = self.now
@@ -323,20 +319,21 @@ class Simulation:
             self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
             return
 
-        # Pool-backed fetches hold their slot from grant to transfer end.
-        if out.queue_wait_ms == 0:
-            self._pool(c).admit(self.now, c.fetch_end_ms)
+        # Pool-backed fetches hold their slot from grant to transfer end, and
+        # the pool must grant it at the wait the strategy was promised.
+        grant_ms = self._pool(c).reserve(c.id, self.now, c.fetch_end_ms)
+        if grant_ms != self.now + out.queue_wait_ms:
+            raise SimulationError(f"client {c.id} granted a pool slot at {grant_ms}, not as promised")
+        if grant_ms == self.now:
             self._grant_stream(c)
         else:
-            grant_ms = self.now + out.queue_wait_ms
-            self._pool(c).enqueue(c.id, c.fetch_end_ms - grant_ms)
             self._schedule(grant_ms, self._on_queue_grant, c.id)
 
     def _pool(self, c: ClientRecord) -> StreamPool:
         return self.por_pool if c.fetch.lps_id is None else self.lps_pools[c.fetch.lps_id]
 
     def _grant_stream(self, c: ClientRecord) -> None:
-        # A queued job's slot was promised when it was enqueued.
+        # A queued job's slot was reserved when it arrived.
         if c.fetch.source_kind is SourceKind.LPS:
             balancer.record_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
         self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)

@@ -28,7 +28,7 @@ from sbvod.caching import (
 )
 from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
 from sbvod.engine import ClientRecord, StreamPool
-from sbvod.sb_scheduler import build_plan
+from sbvod.sb_scheduler import build_plan, classify_arrival
 
 MIN = MS_PER_MINUTE
 LATENCY = 20
@@ -65,6 +65,11 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
         lps_pools=lps_pools,
         por_pool=por_pool,
     )
+
+
+def acquire(scheme, newcomer, world):
+    """``acquire_first_segment`` for an arrival at the world's clock."""
+    return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.plan, world.now_ms))
 
 
 def ids_near(index, pos, reach=1):
@@ -137,7 +142,7 @@ class TestNoCache:
     def test_five_minutes_late_waits_seven(self):
         newcomer = client(99, 0.0, 0.0)
         world = make_world([newcomer], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.NO_CACHE, newcomer, world)
+        out = acquire(SchemeId.NO_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.CHANNEL_SLOT
         assert out.startup_delay_ms == 7 * MIN
         assert not out.failed
@@ -146,14 +151,14 @@ class TestNoCache:
         newcomer = client(99)
         world = make_world([newcomer], now_ms=12 * MIN)
         with pytest.raises(ValueError, match="late clients"):
-            acquire_first_segment(SchemeId.NO_CACHE, newcomer, world)
+            acquire(SchemeId.NO_CACHE, newcomer, world)
 
 
 class TestNeighborSchemes:
     def test_free_holder_two_hops(self):
         newcomer = client(1, 0.0, 0.0)
         world = make_world([newcomer, client(2, 10.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.startup_delay_ms == 2 * LATENCY == 40
         assert out.holder_id == 2
@@ -164,7 +169,7 @@ class TestNeighborSchemes:
         world = make_world(
             [newcomer, client(2, 12.0, 0.0, holder=True), client(3, 5.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_equidistant_tie_breaks_to_smaller_id(self):
@@ -172,13 +177,13 @@ class TestNeighborSchemes:
         world = make_world(
             [newcomer, client(5, 0.0, 8.0, holder=True), client(3, 8.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_zero_clients_fails_with_probe_cost(self):
         newcomer = client(1)
         world = make_world([], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
         assert out.source_kind is SourceKind.CHANNEL_SLOT
         assert out.startup_delay_ms == 7 * MIN + 1 * LATENCY
@@ -189,25 +194,25 @@ class TestNeighborSchemes:
             [newcomer, client(2, 5.0, 0.0, holder=True, uploading=True),
              client(3, 15.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.holder_id == 3
 
     def test_only_uploading_holders_means_failure(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 5.0, 0.0, holder=True, uploading=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
 
     def test_out_of_range_holder_ignored(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 26.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
 
     def test_holder_of_other_video_ignored(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 5.0, 0.0, holder=True, video_id=2)])
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
+        out = acquire(SchemeId.ALL_CACHE, newcomer, world)
         assert out.failed
 
     def test_holder_leaving_before_transfer_ends_is_skipped(self):
@@ -218,27 +223,27 @@ class TestNeighborSchemes:
         newcomer = client(1, playback_start_ms=None)
         leaving = client(2, 5.0, 0.0, holder=True, playback_start_ms=5 * MIN)
         staying = client(3, 15.0, 0.0, holder=True, playback_start_ms=10 * MIN)
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+        out = acquire(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying], now_ms=now))
         assert out.holder_id == 3
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+        out = acquire(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving], now_ms=now))
         assert out.failed
         # A holder whose playback ends as the transfer ends leaves with it,
         # so it is skipped too; one that ends 1 ms later serves.
         leaving.playback_start_ms = now + 2 * LATENCY + _FETCH_5_MIN - 60 * MIN
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+        out = acquire(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying], now_ms=now))
         assert out.holder_id == 3
         leaving.playback_start_ms += 1
-        out = acquire_first_segment(SchemeId.ALL_CACHE, newcomer,
+        out = acquire(SchemeId.ALL_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying], now_ms=now))
         assert out.holder_id == 2
 
     def test_random_cache_uses_same_search(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 10.0, 0.0, holder=True)])
-        out = acquire_first_segment(SchemeId.RANDOM_CACHE, newcomer, world)
+        out = acquire(SchemeId.RANDOM_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.startup_delay_ms == 40
 
@@ -250,7 +255,7 @@ class TestDscRelay:
         via = client(2, 20.0, 0.0)
         holder = client(3, 40.0, 0.0, holder=True)
         world = make_world([newcomer, via, holder])
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
+        out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.RELAY
         assert out.startup_delay_ms == 3 * LATENCY == 60
         assert out.via_id == 2
@@ -264,25 +269,25 @@ class TestDscRelay:
         leaving = client(2, 20.0, 0.0, playback_start_ms=5 * MIN)
         staying = client(3, 20.0, 5.0, playback_start_ms=10 * MIN)
         holder = client(4, 40.0, 0.0, holder=True, playback_start_ms=10 * MIN)
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+        out = acquire(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (3, 4)
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+        out = acquire(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, holder], now_ms=now))
         assert out.failed
         # A via whose playback ends as the relayed transfer ends is skipped;
         # one that ends 1 ms later serves.
         leaving.playback_start_ms = now + 3 * LATENCY + _FETCH_5_MIN - 60 * MIN
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+        out = acquire(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (3, 4)
         leaving.playback_start_ms += 1
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+        out = acquire(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (2, 4)
         # A relay holder that leaves first is skipped the same way.
         holder.playback_start_ms = 5 * MIN
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer,
+        out = acquire(SchemeId.DSC_CACHE, newcomer,
                                     make_world([newcomer, leaving, staying, holder], now_ms=now))
         assert out.failed
 
@@ -292,14 +297,14 @@ class TestDscRelay:
             [newcomer, client(2, 10.0, 0.0, holder=True), client(3, 20.0, 0.0),
              client(4, 40.0, 0.0, holder=True)]
         )
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
+        out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.NEIGHBOR
         assert out.holder_id == 2
 
     def test_failure_burns_two_probe_hops(self):
         newcomer = client(1)
         world = make_world([newcomer, client(2, 20.0, 0.0)], now_ms=5 * MIN)
-        out = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
+        out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == 7 * MIN + 2 * LATENCY
 
@@ -314,8 +319,8 @@ class TestDscRelay:
             ]
             newcomer = client(1, rng.uniform(-30, 30), rng.uniform(-30, 30))
             world = make_world([newcomer] + people)
-            direct = acquire_first_segment(SchemeId.ALL_CACHE, newcomer, world)
-            relayed = acquire_first_segment(SchemeId.DSC_CACHE, newcomer, world)
+            direct = acquire(SchemeId.ALL_CACHE, newcomer, world)
+            relayed = acquire(SchemeId.DSC_CACHE, newcomer, world)
             if not direct.failed:
                 assert not relayed.failed
 
@@ -378,9 +383,28 @@ _STARTS = (5 * MIN, 5 * MIN + 2 * LATENCY + _FETCH_5_MIN, 5 * MIN + 3 * LATENCY 
            *(10 * MIN,) * 5)
 
 
+def _visit_order_worlds():
+    """(newcomer, people) where the grid visits a relay via before the one that must win.
+
+    The newcomer sits in cell (0, 0) and each via has its own holder out of
+    the newcomer's range. Cells are visited column by column from x = -1.
+    """
+    newcomer = client(1, 12.5, 12.5)
+
+    def at(cid, x, holder=False):
+        return client(cid, x, 12.5, holder=holder, playback_start_ms=10 * MIN)
+
+    # Via 2, in cell (-1, 0), is 22.5 m away; via 3, in cell (0, 0), is 10 m away.
+    yield newcomer, [at(2, -10.0), at(4, -30.0, True), at(3, 22.5), at(5, 42.5, True)]
+    # The two vias tie at 15 m in cells (-1, 0) and (1, 0): via 2 wins either way round.
+    for left, right in ((2, 3), (3, 2)):
+        yield newcomer, [at(left, -2.5), at(4, -22.5, True), at(right, 27.5), at(5, 47.5, True)]
+
+
 def test_search_matches_sort_every_candidate_reference():
     rng = random.Random(4)
     kinds = {k: 0 for k in SourceKind}
+    worlds = list(_visit_order_worlds())
     for _ in range(600):
         held, busy = rng.random(), rng.random()
         # At 65 min, playback that started at 5 min has ended; one that
@@ -392,10 +416,11 @@ def test_search_matches_sort_every_candidate_reference():
                    playback_start_ms=rng.choice(_STARTS))
             for cid in rng.sample(range(2, 200), rng.randint(0, 50))
         ]
-        newcomer = client(1, *_random_point(rng))
+        worlds.append((client(1, *_random_point(rng)), people))
+    for newcomer, people in worlds:
         world = make_world([newcomer] + people, now_ms=65 * MIN)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
-            out = acquire_first_segment(scheme, newcomer, world)
+            out = acquire(scheme, newcomer, world)
             got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
             assert got == _ref_outcome(scheme, newcomer, world)
             kinds[out.source_kind] += 1
@@ -407,7 +432,7 @@ class TestPoR:
     def test_idle_pool_two_hops(self):
         newcomer = client(1)
         world = make_world([newcomer], por_pool=StreamPool(20))
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
+        out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.startup_delay_ms == 40
         assert out.queue_wait_ms == 0
@@ -415,10 +440,10 @@ class TestPoR:
     def test_busy_pool_adds_queue_wait(self):
         pool = StreamPool(1)
         now = 5 * MIN
-        pool.admit(now, now + 5000)
+        pool.reserve(0, now, now + 5000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, por_pool=pool)
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
+        out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.queue_wait_ms == 5000
         assert out.startup_delay_ms == 40 + 5000
@@ -427,10 +452,10 @@ class TestPoR:
         pool = StreamPool(1)
         now = 5 * MIN
         wait = 7 * MIN
-        pool.admit(now, now + wait + 1000)
+        pool.reserve(0, now, now + wait + 1000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, por_pool=pool)
-        out = acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
+        out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
@@ -438,14 +463,14 @@ class TestPoR:
         newcomer = client(1)
         world = make_world([newcomer])
         with pytest.raises(ValueError, match="forwarder pool"):
-            acquire_first_segment(SchemeId.POR_CACHE, newcomer, world)
+            acquire(SchemeId.POR_CACHE, newcomer, world)
 
 
 class TestProxy:
     def test_idle_lps_three_hops(self):
         newcomer = client(1)
         world = make_world([newcomer], lps_counts={1: 0, 2: 0})
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
+        out = acquire(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.LPS
         assert out.startup_delay_ms == 3 * LATENCY == 60
         assert out.lps_id == 1  # tie broken to the smaller id
@@ -453,18 +478,18 @@ class TestProxy:
     def test_least_loaded_lps_chosen(self):
         newcomer = client(1)
         world = make_world([newcomer], lps_counts={1: 3, 2: 1})
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
+        out = acquire(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.lps_id == 2
 
     def test_full_pool_beyond_slot_falls_back(self):
         now = 5 * MIN
         wait = 7 * MIN
         pools = {1: StreamPool(1), 2: StreamPool(1)}
-        pools[1].admit(now, now + wait + 2000)
-        pools[2].admit(now, now + wait + 2000)
+        pools[1].reserve(0, now, now + wait + 2000)
+        pools[2].reserve(0, now, now + wait + 2000)
         newcomer = client(1)
         world = make_world([newcomer], now_ms=now, lps_counts={1: 0, 2: 0}, lps_pools=pools)
-        out = acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
+        out = acquire(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
@@ -472,7 +497,7 @@ class TestProxy:
         newcomer = client(1)
         world = make_world([newcomer])
         with pytest.raises(ValueError, match="LPS table"):
-            acquire_first_segment(SchemeId.PROXY_CACHE, newcomer, world)
+            acquire(SchemeId.PROXY_CACHE, newcomer, world)
 
 
 class TestDeterminism:
@@ -484,8 +509,8 @@ class TestDeterminism:
         ]
         newcomer = client(1, 3.0, -2.0)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE, SchemeId.RANDOM_CACHE):
-            a = acquire_first_segment(scheme, newcomer, make_world([newcomer] + people))
-            b = acquire_first_segment(scheme, newcomer, make_world([newcomer] + people))
+            a = acquire(scheme, newcomer, make_world([newcomer] + people))
+            b = acquire(scheme, newcomer, make_world([newcomer] + people))
             assert a == b
 
 

@@ -276,6 +276,18 @@ class TestMain:
         assert code == 2
         assert "unknown key" in capsys.readouterr().err
 
+    def test_config_file_read_errors_are_usage_errors(self, tmp_path, capsys):
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbfhorizon_minutes = 20\nwarmup_minutes = 5\n")
+        assert main(["simulate", "--scheme", "no", "--config", str(bom)]) == 0
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"# caf\xe9\nseed = 1\n")
+        for path, err in ((tmp_path, "Is a directory"), (latin1, "byte 5 is not UTF-8"),
+                          (tmp_path / "missing.cfg", "No such file or directory")):
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.startswith(f"sbvod: {path}: {err}")
+
     def test_invalid_config_values_are_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("channels = 7\n", encoding="utf-8")

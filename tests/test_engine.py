@@ -61,36 +61,25 @@ class TestStreamPool:
 
     def test_wait_is_next_completion_when_full(self):
         pool = StreamPool(2)
-        pool.admit(0, 400)
-        pool.admit(0, 900)
+        assert pool.reserve(1, 0, 400) == pool.reserve(2, 0, 900) == 0
         assert pool.projected_wait(100) == 300
 
     def test_completion_frees_slot(self):
         pool = StreamPool(1)
-        pool.admit(0, 400)
+        pool.reserve(1, 0, 400)
         assert pool.projected_wait(400) == 0
+        assert pool.reserve(2, 400, 500) == 400
 
     def test_fifo_projection_stacks_pending_holds(self):
         pool = StreamPool(1)
-        pool.admit(0, 1000)
-        pool.enqueue(7, 500)  # will run 1000..1500
+        pool.reserve(1, 0, 1000)
+        assert pool.reserve(7, 0, 1500) == 1000  # will run 1000..1500
         assert pool.projected_wait(0) == 1500
-
-    def test_admit_past_capacity_is_a_fault(self):
-        pool = StreamPool(1)
-        pool.admit(0, 100)
-        with pytest.raises(SimulationError):
-            pool.admit(0, 200)
+        assert pool.pop_pending() == 7
 
     def test_capacity_positive(self):
         with pytest.raises(ValueError):
             StreamPool(0)
-
-    def test_enqueue_with_a_free_slot_is_a_fault(self):
-        pool = StreamPool(2)
-        pool.admit(0, 100)
-        with pytest.raises(SimulationError):
-            pool.enqueue(7, 500)
 
     def test_huge_capacity_allocates_nothing_per_slot(self):
         tracemalloc.start()
@@ -98,7 +87,7 @@ class TestStreamPool:
             pool = StreamPool(10**12)
             for t in range(0, 20_000, 10):
                 assert pool.projected_wait(t) == 0
-                pool.admit(t, t + 35)
+                assert pool.reserve(0, t, t + 35) == t
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -144,10 +133,11 @@ class _ReplayPool:
 def _agree_with_replay(seed: int, steps: int) -> int:
     """Drive both pools the way the engine does; returns the queued-job count.
 
-    Each arrival asks for the projected wait, then is refused, admitted at
-    once, or queued with its grant scheduled at the promised instant. A
-    grant due at the arrival's own ms is delivered before or after it at
-    random, as the event heap's sequence order may have it.
+    Each arrival asks for the projected wait, then is refused or reserves
+    a slot, which must be granted at once or at the promised instant; a
+    queued grant is scheduled there. A grant due at the arrival's own ms is
+    delivered before or after it at random, as the event heap's sequence
+    order may have it.
     """
     rng = random.Random(seed)
     capacity = rng.randint(1, 4)
@@ -170,11 +160,10 @@ def _agree_with_replay(seed: int, steps: int) -> int:
         hold = rng.randint(1, 600)
         if wait > rng.randint(0, 1500):
             continue  # refused: past the next broadcast slot
+        assert pool.reserve(cid, now, now + wait + hold) == now + wait, (seed, cid)
         if wait == 0:
-            pool.admit(now, now + hold)
             ref.admit(now, now + hold)
         else:
-            pool.enqueue(cid, hold)
             ref.enqueue(cid, hold)
             heapq.heappush(grants, (now + wait, cid, cid, hold))
             queued += 1
@@ -187,6 +176,18 @@ def _agree_with_replay(seed: int, steps: int) -> int:
 def test_stream_pool_matches_replay_reference():
     queued = sum(_agree_with_replay(seed, 300) for seed in range(300))
     assert queued > 10_000  # the queue path is exercised, not just idle admits
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.POR_CACHE, SchemeId.PROXY_CACHE])
+def test_pool_must_grant_at_the_promised_wait(scheme, monkeypatch):
+    # Promise queued jobs 1 ms less than the pool will make them wait; the
+    # engine must catch the broken promise, not run on with a wrong delay.
+    true_wait = StreamPool.projected_wait
+    monkeypatch.setattr(StreamPool, "projected_wait",
+                        lambda pool, now_ms: max(0, true_wait(pool, now_ms) - 1))
+    cfg = SimConfig(lps_capacity=2, arrival_rate_per_min=10.0, seed=1)
+    with pytest.raises(SimulationError, match="not as promised"):
+        run_simulation(cfg, scheme)
 
 
 # Loss mode at load 8 on 10 slots. Holds average 10**6 ms, so rounding
@@ -213,7 +214,7 @@ def test_loss_mode_pool_blocks_at_erlang_b(law):
         t += gap
         blocked = pool.projected_wait(t) > 0
         if not blocked:
-            pool.admit(t, t + hold)
+            pool.reserve(0, t, t + hold)
         refused.append(blocked)
     size = n // batches
     means = [sum(refused[i * size:(i + 1) * size]) / size for i in range(batches)]
