@@ -189,7 +189,7 @@ def default_workers() -> int:
 
     ``taskset -c 0 sbvod experiment ...`` therefore makes every run in
     the ``sbvod`` process itself. The cap keeps a large host from starting
-    dozens of ~30 MB workers; no host above two CPUs has been measured.
+    dozens of ~33 MB workers; no host above two CPUs has been measured.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, 8)

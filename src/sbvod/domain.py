@@ -13,9 +13,10 @@ import itertools
 import math
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MS_PER_MINUTE = 60_000
 BITS_PER_MEGABIT = 1_000_000
@@ -318,13 +319,16 @@ class RandomSource:
 
     Each ``substream(*labels)`` call returns a fresh PCG64 generator seeded
     from :func:`derive_seed`, so components can draw without perturbing one
-    another and replications can be given disjoint streams.
+    another and replications can be given disjoint streams. numpy is
+    imported by the first ``substream`` call, so a process that never
+    draws (``sbvod analyze``, ``--help``, a usage error) never loads it.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
     def substream(self, *labels: object) -> np.random.Generator:
+        import numpy as np
         return np.random.Generator(np.random.PCG64(derive_seed(self.seed, *labels)))
 
     def __repr__(self):

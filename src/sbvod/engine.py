@@ -283,7 +283,8 @@ class Simulation:
         self.index.add(cid, c.position)
 
         arrival = classify_arrival(self.plan, self.now)
-        self._trace("arrival", cid, f"video={c.video_id} missed={arrival.missed_ms}")
+        if self.trace is not None:
+            self._trace("arrival", cid, f"video={c.video_id} missed={arrival.missed_ms}")
 
         if arrival.on_time:
             # Walked in exactly as a segment-1 slot opened: no acquisition.

@@ -1,7 +1,12 @@
 """Argument parsing, experiment CSV layout, and end-to-end CLI runs."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -397,6 +402,62 @@ class TestMain:
         text = out_csv.read_text(encoding="utf-8")
         assert text.startswith("key,value\n")
         assert "broadcast_bandwidth_bps" in text
+
+
+def _fresh_python(script: str) -> str:
+    """Run ``script`` in a new interpreter that imports sbvod from this tree; returns its stdout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestColdStart:
+    """numpy loads only when a run builds its first random stream."""
+
+    def test_commands_that_draw_nothing_never_load_numpy(self, tmp_path):
+        out = _fresh_python(f"""
+            import contextlib, io, sys
+            import sbvod
+            from sbvod import cli
+            assert "numpy" not in sys.modules, "import sbvod"
+            for argv, code in ((["analyze"], 0), (["analyze", "--reserved-mbps", "-3"], 2),
+                               (["simulate", "--config", {str(tmp_path)!r}], 2)):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    assert cli.main(argv) == code, argv
+                assert "numpy" not in sys.modules, argv
+            report = sbvod.run_simulation(sbvod.SimConfig(horizon_minutes=20.0, warmup_minutes=5.0),
+                                          sbvod.SchemeId.DSC_CACHE)
+            assert "numpy" in sys.modules
+            print(repr(report))
+        """)
+        here = run_simulation(SimConfig(horizon_minutes=20.0, warmup_minutes=5.0), SchemeId.DSC_CACHE)
+        assert out == repr(here) + "\n"
+
+    def test_workers_forked_from_a_numpy_free_parent_write_the_same_csv(self, tmp_path):
+        _fresh_python(f"""
+            import sys
+            from sbvod import cli
+            from sbvod.caching import SchemeId
+            from sbvod.domain import SimConfig
+
+            def csv_at(workers, name):
+                cli.default_workers = lambda: workers
+                spec = cli.ExperimentSpec(
+                    name="custom", schemes=(SchemeId.NO_CACHE, SchemeId.DSC_CACHE),
+                    sweep_var="arrival_rate_per_min", values=(4.0, 10.0), replications=2,
+                    base=SimConfig(horizon_minutes=30.0, warmup_minutes=5.0, seed=3),
+                    out_path={str(tmp_path)!r} + "/" + name)
+                return cli.run_experiment(spec).read_bytes()
+
+            two = csv_at(2, "two.csv")
+            assert "numpy" not in sys.modules, "the pooled run loaded numpy in the parent"
+            one = csv_at(1, "one.csv")
+            assert "numpy" in sys.modules
+            assert one == two
+        """)
 
 
 def _t975_oracle(df: int) -> float:
