@@ -6,10 +6,12 @@ scheme here tries to do better by sourcing the missed opening of the
 video from somewhere nearby: a neighbor's buffer, a two-hop relay, the
 forwarder's RAM pool, or a proxy server picked by the load balancer.
 
-Strategies are pure: they inspect a :class:`WorldView` and return an
-:class:`AcquisitionOutcome` without touching any state. The engine is
-responsible for applying the outcome (marking uploads, queueing,
-recording balancer requests).
+Strategies are pure. The ``world`` they are handed is the running
+``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
+``plan``, ``clients``, ``index``, ``holders``, ``lps_table``,
+``lps_pools`` and ``por_pool``. They return an :class:`AcquisitionOutcome`,
+and the engine applies it (marking uploads, queueing, recording balancer
+requests).
 """
 
 from __future__ import annotations
@@ -17,11 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 from . import balancer as _balancer
 from .domain import _CELL_SLACK, SimConfig
-from .sb_scheduler import ArrivalClass, BroadcastPlan
+from .sb_scheduler import ArrivalClass
+
+if TYPE_CHECKING:
+    from .engine import Simulation
 
 
 class SchemeId(Enum):
@@ -143,33 +148,7 @@ class NeighborIndex:
                 for y in range(cy - reach, cy + reach + 1) if (key := (x, y)) in cells]
 
 
-@dataclass
-class WorldView:
-    """Everything a strategy may look at, as live references into one run.
-
-    The engine builds one view per run and sets ``now_ms`` before each
-    decision it hands to :func:`acquire_first_segment`. The config,
-    clients, indexes and pools are the engine's own objects, not copies;
-    strategies only read them, so equal worlds produce equal outcomes.
-    ``index`` holds every present client; ``holders[video_id]`` holds
-    exactly the present clients that hold that video, uploading or not
-    (the engine's mapping makes an empty grid on a video's first lookup).
-    A holder's ``uploading`` flag alone says it is busy.
-    ``plan`` is the timetable every video shares.
-    """
-
-    now_ms: int
-    cfg: SimConfig
-    clients: Mapping[int, object]
-    index: NeighborIndex
-    holders: Mapping[int, NeighborIndex]
-    plan: BroadcastPlan
-    lps_table: _balancer.LpsTable | None = None
-    lps_pools: Mapping[int, object] | None = None
-    por_pool: object | None = None
-
-
-def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
+def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     """Time to pull the missed opening of segment 1 over the access link.
 
     The source streams ``missed_ms`` worth of content (at the consumption
@@ -178,11 +157,11 @@ def fetch_duration_ms(world: WorldView, missed_ms: int) -> int:
     """
     if missed_ms <= 0:
         return 0
-    ratio = world.cfg.consumption_rate_mbps / world.cfg.bandwidth_mbps
+    ratio = cfg.consumption_rate_mbps / cfg.bandwidth_mbps
     return int(math.ceil(missed_ms * ratio))
 
 
-def _nearest(world: WorldView, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
+def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
     """(id, value) of the least (dist2, id) client of ``grid`` that serves, or None.
 
@@ -218,7 +197,7 @@ def _free(holder) -> bool | None:
     return None if holder.uploading else True
 
 
-def _find_relay(world: WorldView, client, until_ms: int):
+def _find_relay(world: Simulation, client, until_ms: int):
     """(via, holder) for the nearest via with a free holder in its range, or None.
 
     Both must stay present until ``until_ms``, when the relayed transfer ends.
@@ -250,11 +229,17 @@ def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) ->
     )
 
 
-def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
+def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
                           arrival: ArrivalClass) -> AcquisitionOutcome:
     """Decide how a late client obtains the opening of segment 1.
 
-    ``arrival`` is ``classify_arrival`` of the plan at ``world.now_ms``. The
+    ``world`` is the running ``engine.Simulation``; the strategy only reads
+    its ``now``, ``cfg``, ``plan``, ``clients``, ``index``, ``holders``,
+    ``lps_table``, ``lps_pools`` and ``por_pool``. ``index`` holds every
+    present client; ``holders[video_id]`` holds that video's present
+    holders, busy or not (the engine's mapping makes an empty grid on a
+    video's first lookup), and a holder's ``uploading`` flag alone says it
+    is busy. ``arrival`` is ``classify_arrival`` of the plan at ``world.now``. The
     client missed the current segment-1 slot by some margin; every
     scheme may fall back to the next slot (``wait_ms`` away), and the
     queue-backed schemes refuse a queue that would outlast that slot,
@@ -265,7 +250,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms
     latency = world.cfg.msg_latency_ms
-    fetch_ms = fetch_duration_ms(world, arrival.missed_ms)
+    fetch_ms = fetch_duration_ms(world.cfg, arrival.missed_ms)
 
     if scheme is SchemeId.NO_CACHE:
         return _slot_outcome(scheme, wait_ms, latency, failed=False)
@@ -274,7 +259,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
         # A transfer ends its startup delay (two hops, three via a relay)
         # plus the fetch after now.
         found = _nearest(world, world.holders[client.video_id], client.position, client.id,
-                         world.now_ms + 2 * latency + fetch_ms, _free)
+                         world.now + 2 * latency + fetch_ms, _free)
         if found is not None:
             return AcquisitionOutcome(
                 source_kind=SourceKind.NEIGHBOR,
@@ -283,7 +268,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
                 fetch_ms=fetch_ms,
             )
         if scheme is SchemeId.DSC_CACHE:
-            relay = _find_relay(world, client, world.now_ms + 3 * latency + fetch_ms)
+            relay = _find_relay(world, client, world.now + 3 * latency + fetch_ms)
             if relay is not None:
                 via, holder = relay
                 return AcquisitionOutcome(
@@ -296,18 +281,14 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
 
     if scheme is SchemeId.POR_CACHE:
-        if world.por_pool is None:
-            raise ValueError("por-cache requires a forwarder pool in the world view")
         kind, pool, lps_id, hops = SourceKind.POR, world.por_pool, None, 2
     elif scheme is SchemeId.PROXY_CACHE:
-        if world.lps_table is None or not world.lps_pools:
-            raise ValueError("proxy-cache requires an LPS table in the world view")
         lps_id = _balancer.assign_lps(world.lps_table)
         kind, pool, hops = SourceKind.LPS, world.lps_pools[lps_id], 3
     else:
         raise ValueError(f"unhandled scheme {scheme!r}")
 
-    queue_wait = pool.projected_wait(world.now_ms)
+    queue_wait = pool.projected_wait(world.now)
     if queue_wait > wait_ms:
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
     return AcquisitionOutcome(
@@ -319,7 +300,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: WorldView,
     )
 
 
-def on_playback_started(scheme: SchemeId, world: WorldView, rng) -> bool:
+def on_playback_started(scheme: SchemeId, cfg: SimConfig, rng) -> bool:
     """Whether the client starting playback keeps segment 1 available for others.
 
     Called exactly once per client at the instant playback begins. The
@@ -329,7 +310,7 @@ def on_playback_started(scheme: SchemeId, world: WorldView, rng) -> bool:
     if scheme is SchemeId.ALL_CACHE:
         return True
     if scheme is SchemeId.RANDOM_CACHE:
-        return bool(rng.random() < world.cfg.random_cache_prob)
+        return bool(rng.random() < cfg.random_cache_prob)
     if scheme is SchemeId.DSC_CACHE:
         return bool(rng.random() < DSC_CACHE_PROB)
     return False

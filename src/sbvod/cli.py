@@ -486,7 +486,7 @@ def main(argv: list[str] | None = None) -> int:
             if out.is_dir():
                 raise ConfigError(f"--out {out} is a directory")
         return commands[ns.command](ns)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"sbvod: {exc}", file=sys.stderr)
         return 2
     except (SimulationError, OSError, ValueError) as exc:

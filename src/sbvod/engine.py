@@ -25,13 +25,7 @@ from functools import partial
 from typing import Callable, TextIO
 
 from . import balancer, caching
-from .caching import (
-    AcquisitionOutcome,
-    NeighborIndex,
-    SchemeId,
-    SourceKind,
-    WorldView,
-)
+from .caching import AcquisitionOutcome, NeighborIndex, SchemeId, SourceKind
 from .domain import (
     MS_PER_MINUTE,
     BlockDraws,
@@ -160,7 +154,10 @@ class StreamPool:
 
 
 class Simulation:
-    """One run: fixed config, fixed scheme, labelled random sub-streams."""
+    """One run: fixed config, fixed scheme, labelled random sub-streams.
+
+    It is also the world ``caching.acquire_first_segment`` reads.
+    """
 
     def __init__(self, cfg: SimConfig, scheme: SchemeId, trace: TextIO | None = None):
         problems = validate_config(cfg)
@@ -201,17 +198,6 @@ class Simulation:
         self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in lps_ids}
         self.por_pool = StreamPool(cfg.lps_capacity)
         self.report = MetricsReport(scheme.value, cfg.seed, {i: 0 for i in lps_ids})
-        self._world = WorldView(
-            now_ms=0,
-            cfg=cfg,
-            clients=self.clients,
-            index=self.index,
-            holders=self.holders,
-            plan=self.plan,
-            lps_table=self.lps_table,
-            lps_pools=self.lps_pools,
-            por_pool=self.por_pool,
-        )
 
         self.horizon_ms = cfg.horizon_ms
         self.warmup_ms = cfg.warmup_ms
@@ -236,13 +222,6 @@ class Simulation:
     def _trace(self, kind: str, client_id: int, detail: str = "") -> None:
         if self.trace is not None:
             self.trace.write(f"{self.now} {kind} client={client_id} {detail}\n".rstrip() + "\n")
-
-    # -- world view -------------------------------------------------------
-
-    def world_view(self) -> WorldView:
-        """The run's one view, with its clock set to now."""
-        self._world.now_ms = self.now
-        return self._world
 
     # -- main loop --------------------------------------------------------
 
@@ -290,7 +269,7 @@ class Simulation:
             # Walked in exactly as a segment-1 slot opened: no acquisition.
             self._apply_outcome(c, _ON_TIME)
         else:
-            self._apply_outcome(c, caching.acquire_first_segment(self.scheme, c, self.world_view(), arrival))
+            self._apply_outcome(c, caching.acquire_first_segment(self.scheme, c, self, arrival))
 
     def _apply_outcome(self, c: ClientRecord, out: AcquisitionOutcome) -> None:
         if c.arrival_ms > self.warmup_ms:
@@ -367,7 +346,7 @@ class Simulation:
 
     def _begin_playback(self, c: ClientRecord) -> None:
         c.state = ClientState.PLAYING
-        if caching.on_playback_started(self.scheme, self.world_view(), self._rng_cache):
+        if caching.on_playback_started(self.scheme, self.cfg, self._rng_cache):
             c.holder = True
             self.holders[c.video_id].add(c.id, c.position)
         # One cycle of K segments of duration D is the whole video; the

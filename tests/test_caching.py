@@ -1,7 +1,8 @@
 """Acquisition strategies over hand-built worlds.
 
-Worlds here are tiny and explicit: a few clients at chosen coordinates,
-holder/uploading flags set directly, one 60-minute 5-channel plan. Delay
+Each world is a real ``Simulation``, the object the engine hands a
+strategy, holding a few clients at chosen coordinates with their
+holder/uploading flags set directly, on one 60-minute 5-channel plan. Delay
 arithmetic uses the 20 ms default hop latency, so a neighbor fetch costs
 40 ms and a proxy fetch 60 ms.
 """
@@ -13,22 +14,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbvod.balancer import LpsEntry, LpsTable, record_request
+from sbvod.balancer import record_request
 from sbvod.caching import (
     DSC_CACHE_PROB,
     AcquisitionOutcome,
     NeighborIndex,
     SchemeId,
     SourceKind,
-    WorldView,
     acquire_first_segment,
     fetch_duration_ms,
     normalize_scheme,
     on_playback_started,
 )
 from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
-from sbvod.engine import ClientRecord, StreamPool
-from sbvod.sb_scheduler import build_plan, classify_arrival
+from sbvod.engine import ClientRecord, Simulation, StreamPool
+from sbvod.sb_scheduler import classify_arrival
 
 MIN = MS_PER_MINUTE
 LATENCY = 20
@@ -38,38 +38,34 @@ _FETCH_5_MIN = 8_334
 
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
                por_pool=None, lps_pools=None, range_m=25.0):
-    index = NeighborIndex(range_m)
-    # As in the engine, a video's grid holds its busy holders too.
-    holders = {1: NeighborIndex(range_m)}
+    """A fresh run at ``now_ms`` holding ``clients``: what the engine hands a strategy.
+
+    ``lps_counts`` maps proxy ids 1..n to the requests already on each.
+    """
+    cfg = SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
+                    bandwidth_mbps=54.0, random_cache_prob=0.5, lps_capacity=lps_capacity,
+                    num_lps=len(lps_counts) if lps_counts else 2)
+    world = Simulation(cfg, SchemeId.NO_CACHE)
+    world.now = now_ms
     for c in clients:
-        index.add(c.id, c.position)
+        world.clients[c.id] = c
+        world.index.add(c.id, c.position)
+        # As in the engine, a video's grid holds its busy holders too.
         if c.holder:
-            holders.setdefault(c.video_id, NeighborIndex(range_m)).add(c.id, c.position)
-    table = None
-    if lps_counts is not None:
-        table = LpsTable([LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554") for i in sorted(lps_counts)])
-        for lps_id, count in lps_counts.items():
-            for k in range(count):
-                record_request(table, lps_id, f"seed{lps_id}-{k}")
-        if lps_pools is None:
-            lps_pools = {i: StreamPool(lps_capacity) for i in lps_counts}
-    return WorldView(
-        now_ms=now_ms,
-        cfg=SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
-                      bandwidth_mbps=54.0, random_cache_prob=0.5),
-        clients={c.id: c for c in clients},
-        index=index,
-        holders=holders,
-        plan=build_plan(60, 5),
-        lps_table=table,
-        lps_pools=lps_pools,
-        por_pool=por_pool,
-    )
+            world.holders[c.video_id].add(c.id, c.position)
+    for lps_id, count in (lps_counts or {}).items():
+        for k in range(count):
+            record_request(world.lps_table, lps_id, f"seed{lps_id}-{k}")
+    if por_pool is not None:
+        world.por_pool = por_pool
+    if lps_pools is not None:
+        world.lps_pools = lps_pools
+    return world
 
 
 def acquire(scheme, newcomer, world):
     """``acquire_first_segment`` for an arrival at the world's clock."""
-    return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.plan, world.now_ms))
+    return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.plan, world.now))
 
 
 def ids_near(index, pos, reach=1):
@@ -127,15 +123,15 @@ class TestOutcomeInvariants:
 
 class TestFetchDuration:
     def test_scales_with_link_ratio(self):
-        world = make_world([])
+        cfg = SimConfig(consumption_rate_mbps=1.5, bandwidth_mbps=54.0)
         # 6 minutes of content at 1.5 Mbps crosses a 54 Mbps link 36x
         # faster than real time.
-        assert fetch_duration_ms(world, 6 * MIN) == 10_000
+        assert fetch_duration_ms(cfg, 6 * MIN) == 10_000
 
     def test_zero_and_rounding(self):
-        world = make_world([])
-        assert fetch_duration_ms(world, 0) == 0
-        assert fetch_duration_ms(world, 1) == 1  # ceil of 1/36
+        cfg = SimConfig(consumption_rate_mbps=1.5, bandwidth_mbps=54.0)
+        assert fetch_duration_ms(cfg, 0) == 0
+        assert fetch_duration_ms(cfg, 1) == 1  # ceil of 1/36
 
 
 class TestNoCache:
@@ -359,7 +355,7 @@ def _ref_find_relay(world, newcomer, video_id, until_ms):
 
 def _ref_outcome(scheme, newcomer, world):
     """(kind, holder, via, failed, delay) the reference search leads to, 5 minutes late."""
-    done = world.now_ms + _FETCH_5_MIN  # plus the hops to the source
+    done = world.now + _FETCH_5_MIN  # plus the hops to the source
     holder = _ref_nearest_free_holder(world, newcomer.position, 1, newcomer.id, done + 2 * LATENCY)
     if holder is not None:
         return SourceKind.NEIGHBOR, holder, None, False, 2 * LATENCY
@@ -459,12 +455,6 @@ class TestPoR:
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
-    def test_missing_pool_is_an_error(self):
-        newcomer = client(1)
-        world = make_world([newcomer])
-        with pytest.raises(ValueError, match="forwarder pool"):
-            acquire(SchemeId.POR_CACHE, newcomer, world)
-
 
 class TestProxy:
     def test_idle_lps_three_hops(self):
@@ -493,12 +483,6 @@ class TestProxy:
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
 
-    def test_missing_table_is_an_error(self):
-        newcomer = client(1)
-        world = make_world([newcomer])
-        with pytest.raises(ValueError, match="LPS table"):
-            acquire(SchemeId.PROXY_CACHE, newcomer, world)
-
 
 class TestDeterminism:
     def test_same_world_same_outcome(self):
@@ -515,43 +499,35 @@ class TestDeterminism:
 
 
 class TestRetention:
-    def _world(self):
-        return make_world([])
+    CFG = SimConfig(random_cache_prob=0.5)
 
     def test_all_cache_always_holds(self):
         rng = RandomSource(1).substream("cache-retention")
-        assert on_playback_started(SchemeId.ALL_CACHE, self._world(), rng)
+        assert on_playback_started(SchemeId.ALL_CACHE, self.CFG, rng)
 
     def test_never_holders(self):
         rng = RandomSource(1).substream("cache-retention")
         for scheme in (SchemeId.NO_CACHE, SchemeId.POR_CACHE, SchemeId.PROXY_CACHE):
-            assert not on_playback_started(scheme, self._world(), rng)
+            assert not on_playback_started(scheme, self.CFG, rng)
 
     def test_random_cache_prob_zero_and_one(self):
-        import dataclasses
-
         rng = RandomSource(1).substream("cache-retention")
-        base = make_world([])
-        zero = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=0.0))
-        one = dataclasses.replace(base, cfg=dataclasses.replace(base.cfg, random_cache_prob=1.0))
-        assert not on_playback_started(SchemeId.RANDOM_CACHE, zero, rng)
-        assert on_playback_started(SchemeId.RANDOM_CACHE, one, rng)
+        assert not on_playback_started(SchemeId.RANDOM_CACHE, SimConfig(random_cache_prob=0.0), rng)
+        assert on_playback_started(SchemeId.RANDOM_CACHE, SimConfig(random_cache_prob=1.0), rng)
 
     def test_random_cache_long_run_fraction(self):
         rng = RandomSource(99).substream("cache-retention")
-        world = self._world()
         n = 100_000
         held = sum(
-            on_playback_started(SchemeId.RANDOM_CACHE, world, rng) for _ in range(n)
+            on_playback_started(SchemeId.RANDOM_CACHE, self.CFG, rng) for _ in range(n)
         )
         assert held / n == pytest.approx(0.5, abs=0.01)
 
     def test_dsc_long_run_fraction(self):
         rng = RandomSource(99).substream("cache-retention")
-        world = self._world()
         n = 100_000
         held = sum(
-            on_playback_started(SchemeId.DSC_CACHE, world, rng) for _ in range(n)
+            on_playback_started(SchemeId.DSC_CACHE, self.CFG, rng) for _ in range(n)
         )
         assert held / n == pytest.approx(DSC_CACHE_PROB, abs=0.01)
 

@@ -351,6 +351,23 @@ class TestMain:
             assert captured.out == ""
         assert not missing.exists()
 
+    def test_out_directory_vanishing_mid_run_is_a_runtime_error(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # --out passed its check before the run; a write that then fails is
+        # a runtime fault like any other OSError, not a usage error.
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        cfg = SimConfig(horizon_minutes=20.0, warmup_minutes=5.0)
+
+        def run_then_lose_the_directory(_cfg, scheme, trace=None):
+            out_dir.rmdir()
+            return run_simulation(cfg, scheme)
+
+        monkeypatch.setattr(cli, "run_simulation", run_then_lose_the_directory)
+        code = main(["simulate", "--scheme", "no", "--out", str(out_dir / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("sbvod: [Errno 2] No such file or directory")
+
     def test_analyze_prints_capacity_report(self, capsys):
         code = main(["analyze", "--cache-mbit", "0", "--service-minutes", "60"])
         out = capsys.readouterr().out

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sbvod import balancer
+from sbvod import balancer, caching
 from sbvod.analytic import erlang_b
 from sbvod.caching import SchemeId, SourceKind
 from sbvod.domain import MS_PER_MINUTE, SimConfig, validate_config
@@ -241,16 +241,6 @@ class TestSimulationLifecycle:
         assert sim.step()
         assert len(sim.clients) == 1
 
-    def test_one_world_view_per_run_follows_the_clock(self):
-        sim = Simulation(short_cfg(), SchemeId.PROXY_CACHE)
-        sim._schedule_next_arrival(from_ms=0)
-        view = sim.world_view()
-        for _ in range(30):
-            assert sim.step()
-            assert sim.world_view() is view
-            assert view.now_ms == sim.now
-        assert sim.now > 0
-
     def test_setup_does_not_grow_with_the_catalog(self):
         # The largest catalog that validates. Building a catalog entry and a
         # holder grid per video held about 65 MB before the first event.
@@ -455,6 +445,130 @@ def test_free_holder_grids_track_eligible_holders(scheme):
             assert _grid_ids(grid) == want, (sim.now, vid)
     assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
     assert sim.report.outcome_counts["neighbor"] > 0
+
+
+def _started(cfg, scheme):
+    """A run with its first arrival scheduled and no event handled yet."""
+    sim = Simulation(cfg, scheme)
+    sim._schedule_next_arrival(from_ms=0)
+    return sim
+
+
+def _step_until(sim, reached, limit=200_000):
+    """Step ``sim`` until ``reached(sim)``; fails if the run ends or ``limit`` events pass first."""
+    for _ in range(limit):
+        if reached(sim):
+            return sim
+        assert sim.step(), "the run drained first"
+    raise AssertionError(f"not reached within {limit} events")
+
+
+# Ten arrivals a minute on two-stream pools: holders go busy and pool jobs queue.
+_BUSY_CFG = SimConfig(arrival_rate_per_min=10.0, lps_capacity=2, horizon_minutes=120.0,
+                      warmup_minutes=0.0, seed=3)
+
+
+def _pools(sim):
+    return [sim.por_pool, *sim.lps_pools.values()]
+
+
+def _run_state(sim):
+    """Everything of a run that a strategy could write to, as plain values."""
+    return (
+        {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
+        {vid: {key: list(cell) for key, cell in grid._cells.items()}
+         for vid, grid in [(None, sim.index), *sim.holders.items()]},
+        [(list(pool._ends), list(pool._pending)) for pool in _pools(sim)],
+        [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
+        (sim.now, sim._seq, len(sim._heap)),
+    )
+
+
+def _busy(sim):
+    """Clients present, and whatever the scheme keeps busy: an upload, or a queued pool job."""
+    if len(sim.clients) < 10:
+        return False
+    if sim.scheme is SchemeId.POR_CACHE:
+        return bool(sim.por_pool._pending)
+    if sim.scheme is SchemeId.PROXY_CACHE:
+        return (any(pool._pending for pool in sim.lps_pools.values())
+                and any(e.request_count for e in sim.lps_table.entries))
+    if sim.scheme is SchemeId.NO_CACHE:
+        return True
+    return any(c.uploading for c in sim.clients.values())
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_strategies_only_read_the_run(scheme):
+    # The engine hands a strategy the live run; deciding a late arrival
+    # must leave every flag, grid, pool, proxy count and the clock as it was.
+    sim = _step_until(_started(_BUSY_CFG, scheme),
+                      lambda s: _busy(s) and not classify_arrival(s.plan, s.now).on_time)
+    newcomer = ClientRecord(id=sim.arrived + 1, arrival_ms=sim.now, position=(0.0, 0.0), video_id=1)
+    sim.clients[newcomer.id] = newcomer
+    sim.index.add(newcomer.id, newcomer.position)
+    before = _run_state(sim)
+    out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.plan, sim.now))
+    assert _run_state(sim) == before
+    assert out == caching.acquire_first_segment(scheme, newcomer, sim,
+                                                classify_arrival(sim.plan, sim.now))
+
+
+class TestInvariantFaults:
+    """Each physical invariant the engine checks, broken on a live run, stops it."""
+
+    @staticmethod
+    def _raises(sim, message):
+        with pytest.raises(SimulationError, match=message):
+            while sim.step():
+                pass
+
+    def test_second_upload_from_a_busy_holder(self, monkeypatch):
+        monkeypatch.setattr(caching, "_free", lambda holder: True)
+        self._raises(_started(_BUSY_CFG, SchemeId.ALL_CACHE), "granted a second upload")
+
+    def test_upload_flag_cleared_mid_transfer(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.ALL_CACHE),
+                          lambda s: any(c.uploading for c in s.clients.values()))
+        next(c for c in sim.clients.values() if c.uploading).uploading = False
+        self._raises(sim, "upload flag lost mid-transfer")
+
+    def test_holder_departs_while_flagged_uploading(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.NO_CACHE), lambda s: s.clients)
+        next(iter(sim.clients.values())).uploading = True
+        self._raises(sim, "departed mid-upload")
+
+    def test_queued_jobs_swapped(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.POR_CACHE),
+                          lambda s: len(s.por_pool._pending) >= 2)
+        pending = sim.por_pool._pending
+        pending[0], pending[1] = pending[1], pending[0]
+        self._raises(sim, "queue grant out of FIFO order")
+
+    def test_arrival_counted_twice(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.NO_CACHE), lambda s: s.clients)
+        sim.arrived += 1
+        self._raises(sim, "client conservation violated")
+
+    def test_event_scheduled_in_the_past(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.NO_CACHE), lambda s: s.now > 0)
+        sim._schedule(sim.now - 1, sim._on_arrival)
+        self._raises(sim, "event time went backwards")
+
+    def test_client_that_never_leaves(self):
+        sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
+        sim.arrived = 1
+        sim.clients[1] = ClientRecord(id=1, arrival_ms=0, position=(0.0, 0.0), video_id=1)
+        with pytest.raises(SimulationError, match="drain left clients in flight"):
+            sim.run()
+
+    def test_slot_start_for_a_client_already_playing(self):
+        sim = _step_until(_started(_BUSY_CFG, SchemeId.NO_CACHE),
+                          lambda s: any(c.state is ClientState.AWAITING_SLOT
+                                        for c in s.clients.values()))
+        next(c for c in sim.clients.values()
+             if c.state is ClientState.AWAITING_SLOT).state = ClientState.PLAYING
+        self._raises(sim, "hit a slot in state")
 
 
 def _positive(max_value=None):
