@@ -12,6 +12,10 @@ Strategies are pure. The ``world`` they are handed is the running
 ``lps_pools`` and ``por_pool``. They return an :class:`AcquisitionOutcome`,
 and the engine applies it (marking uploads, queueing, recording balancer
 requests).
+
+Neighbour searches scan grid cells: the 3x3 block around a point holds
+every client in range of it, and the 5x5 block around a client every holder
+in range of an in-range forwarder, so a relay lists that block just once.
 """
 
 from __future__ import annotations
@@ -161,16 +165,17 @@ def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     return int(math.ceil(missed_ms * ratio))
 
 
-def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
+def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
-    """(id, value) of the least (dist2, id) client of ``grid`` that serves, or None.
+    """(id, value) of the least (dist2, id) client in ``cells`` that serves, or None.
 
-    A client other than ``skip_id`` serves if it is in radio range of ``pos``,
-    stays past ``until_ms``, when the transfer ends, and ``serves(record)``
-    gives a value that is not None. One pass keeps the least (dist2, id) so
-    far and calls ``serves`` only for a candidate that would replace it;
-    ``serves`` only reads the world, so this is the first serving client in
-    (dist2, id) order.
+    ``cells`` (id lists, such as ``grid.cells_near(pos)``) must hold every
+    client in range of ``pos``. A client other than ``skip_id`` serves if it
+    is in radio range of ``pos``, stays past ``until_ms``, when the transfer
+    ends, and ``serves(record)`` gives a value that is not None. One pass
+    keeps the least (dist2, id) so far and calls ``serves`` only for a
+    candidate that would replace it; ``serves`` only reads the world, so
+    this is the first serving client in (dist2, id) order.
     """
     # A client leaves as its playback ends, so it serves only if that is strictly
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
@@ -180,7 +185,7 @@ def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], s
     clients = world.clients
     x, y = pos
     best_d2, best_id, best_value = world.cfg.client_range_m**2, None, None
-    for cell in grid.cells_near(pos):
+    for cell in cells:
         for cid in cell:
             rec = clients[cid]
             px, py = rec.position
@@ -202,18 +207,20 @@ def _find_relay(world: Simulation, client, until_ms: int):
 
     Both must stay present until ``until_ms``, when the relayed transfer ends.
     """
-    holders = world.holders[client.video_id]
-    # A via sits within one cell of the client and its holder within one
-    # cell of the via, so no holder within two cells means no relay. A busy
-    # holder passes this probe; the holder search below then skips it.
-    if not holders.cells_near(client.position, 2):
+    # Every holder in range of an in-range via lies in the block two cells
+    # around the client (derivation at ``domain._MAX_GRID_CELLS``), so that
+    # block is listed once for every via; an empty one means no relay. It
+    # lists busy holders too; the holder search skips them.
+    block = world.holders[client.video_id].cells_near(client.position, 2)
+    if not block:
         return None
 
     def via_holder(via):
-        found = _nearest(world, holders, via.position, via.id, until_ms, _free)
+        found = _nearest(world, block, via.position, via.id, until_ms, _free)
         return None if found is None or found[0] == client.id else found[0]
 
-    return _nearest(world, world.index, client.position, client.id, until_ms, via_holder)
+    return _nearest(world, world.index.cells_near(client.position), client.position, client.id,
+                    until_ms, via_holder)
 
 
 def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) -> AcquisitionOutcome:
@@ -258,8 +265,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
     if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
         # A transfer ends its startup delay (two hops, three via a relay)
         # plus the fetch after now.
-        found = _nearest(world, world.holders[client.video_id], client.position, client.id,
-                         world.now + 2 * latency + fetch_ms, _free)
+        found = _nearest(world, world.holders[client.video_id].cells_near(client.position),
+                         client.position, client.id, world.now + 2 * latency + fetch_ms, _free)
         if found is not None:
             return AcquisitionOutcome(
                 source_kind=SourceKind.NEIGHBOR,

@@ -28,8 +28,9 @@ _PROB_TOL = 1e-9
 # numpy's exponential draw is below 64 means (its ziggurat tail adds at
 # most 53 ln 2 to an edge of 7.7), so a mean gap up to 2**1017 ms stays
 # finite. Grid cell keys stay exact while lf_radius / range is at most
-# 2**52. Squared distances within a 3x3 cell block are below
-# 8 * cell**2, which stays finite up to a range of 2**509 m. A mean delay
+# 2**52. A relay measures from a via in the client's 3x3 cell block to
+# holders in its 5x5 block, under 4 cells per axis, so squared distances
+# stay below 32 * cell**2, finite up to a range of 2**509 m. A mean delay
 # past the float range raises, so latencies stop at 2**53 ms, far inside it.
 # Minute fields become ms that meet floats (buffer bits, video sizes, mean
 # delays), so m * 60000 must convert to a float: 60000 < 2**16, so
@@ -54,8 +55,9 @@ _PROB_TOL = 1e-9
 #   whole steps of g = 2**j * ulp(cell) > 2 * e, so the last position
 #   before key 2**j lies more than e below the key's start: positions one
 #   key either side of it still lie more than a cell apart. A hop in range
-#   spans at most range / g steps, fewer than a cell's, so the relay
-#   search's two-hop block (reach 2) holds there too.
+#   spans at most range / g steps, fewer than a cell's, so the 5x5 block
+#   (reach 2) holds every client in range of one in range of its centre
+#   there too: the relay search scans only that block for holders.
 _MAX_MEAN_GAP_MS = 2.0**1017
 _MAX_GRID_CELLS = 2.0**52
 _CELL_SLACK = 2.0**-20

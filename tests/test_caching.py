@@ -9,11 +9,13 @@ arithmetic uses the 20 ms default hop latency, so a neighbor fetch costs
 
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbvod import caching
 from sbvod.balancer import record_request
 from sbvod.caching import (
     DSC_CACHE_PROB,
@@ -27,7 +29,7 @@ from sbvod.caching import (
     on_playback_started,
 )
 from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
-from sbvod.engine import ClientRecord, Simulation, StreamPool
+from sbvod.engine import ClientRecord, Simulation, StreamPool, run_simulation
 from sbvod.sb_scheduler import classify_arrival
 
 MIN = MS_PER_MINUTE
@@ -304,6 +306,19 @@ class TestDscRelay:
         assert out.failed
         assert out.startup_delay_ms == 7 * MIN + 2 * LATENCY
 
+    def test_relay_at_the_largest_range_stays_finite(self):
+        # The relay measures from via 2, in cell (-1, -1), to holder 3 near
+        # the far corner of cell (2, 2), 3.69 cells apart on each axis: at
+        # the largest range a validated config allows, that is still finite.
+        r = 2.0**509
+        cell = NeighborIndex(r).cell_m
+        newcomer = client(1)
+        world = make_world([newcomer, client(2, -0.7 * cell, -0.7 * cell),
+                            client(3, 2.99 * cell, 2.99 * cell, holder=True),
+                            client(4, -1.4 * cell, -1.4 * cell, holder=True)], range_m=r)
+        out = acquire(SchemeId.DSC_CACHE, newcomer, world)
+        assert (out.source_kind, out.via_id, out.holder_id) == (SourceKind.RELAY, 2, 4)
+
     def test_success_superset_of_direct_search(self):
         # On any fixed world, a scheme with the relay option cannot fail
         # where the direct-only search succeeded.
@@ -329,10 +344,11 @@ def _ref_candidates(world, pos, skip_id, until_ms):
         if cid == skip_id:
             continue
         rec = world.clients.get(cid)
-        if rec is None:
+        # In a live run the arriving client has no playback yet and holds nothing.
+        if rec is None or rec.playback_start_ms is None:
             continue
         d2 = (pos[0] - rec.position[0]) ** 2 + (pos[1] - rec.position[1]) ** 2
-        if d2 <= r2 and rec.playback_start_ms + 60 * MIN > until_ms:
+        if d2 <= r2 and rec.playback_start_ms + world.plan.cycle_ms > until_ms:
             out.append((d2, cid, rec))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
@@ -354,17 +370,21 @@ def _ref_find_relay(world, newcomer, video_id, until_ms):
 
 
 def _ref_outcome(scheme, newcomer, world):
-    """(kind, holder, via, failed, delay) the reference search leads to, 5 minutes late."""
-    done = world.now + _FETCH_5_MIN  # plus the hops to the source
-    holder = _ref_nearest_free_holder(world, newcomer.position, 1, newcomer.id, done + 2 * LATENCY)
+    """(kind, holder, via, failed, delay) the reference search leads to at the world's clock."""
+    arrival = classify_arrival(world.plan, world.now)
+    latency = world.cfg.msg_latency_ms
+    done = world.now + fetch_duration_ms(world.cfg, arrival.missed_ms)  # plus the hops
+    video = newcomer.video_id
+    holder = _ref_nearest_free_holder(world, newcomer.position, video, newcomer.id,
+                                      done + 2 * latency)
     if holder is not None:
-        return SourceKind.NEIGHBOR, holder, None, False, 2 * LATENCY
+        return SourceKind.NEIGHBOR, holder, None, False, 2 * latency
     if scheme is SchemeId.DSC_CACHE:
-        relay = _ref_find_relay(world, newcomer, 1, done + 3 * LATENCY)
+        relay = _ref_find_relay(world, newcomer, video, done + 3 * latency)
         if relay is not None:
-            return SourceKind.RELAY, relay[1], relay[0], False, 3 * LATENCY
+            return SourceKind.RELAY, relay[1], relay[0], False, 3 * latency
     hops = 2 if scheme is SchemeId.DSC_CACHE else 1
-    return SourceKind.CHANNEL_SLOT, None, None, True, 7 * MIN + hops * LATENCY
+    return SourceKind.CHANNEL_SLOT, None, None, True, arrival.wait_ms + hops * latency
 
 
 def _random_point(rng):
@@ -422,6 +442,66 @@ def test_search_matches_sort_every_candidate_reference():
             kinds[out.source_kind] += 1
     # Every branch of the search is exercised, not just the easy one.
     assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 40
+
+
+def test_whole_run_choices_match_sort_every_candidate_reference(monkeypatch):
+    # Seven videos leave most in-range clients holding another video, so a
+    # dsc run relays often. The engine never reads via_id and the trace never
+    # prints it, so only this check sees a wrong forwarder in a live run.
+    cfg = SimConfig(num_videos=7, arrival_rate_per_min=10.0, client_range_m=25.0,
+                    horizon_minutes=90.0, seed=7)
+    kinds = Counter()
+    real = caching.acquire_first_segment
+
+    def checked(scheme, c, world, arrival):
+        out = real(scheme, c, world, arrival)
+        got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
+        assert got == _ref_outcome(scheme, c, world)
+        kinds[out.source_kind] += 1
+        return out
+
+    monkeypatch.setattr(caching, "acquire_first_segment", checked)
+    run_simulation(cfg, SchemeId.DSC_CACHE)
+    assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 100
+
+
+class TestRelaySearchCost:
+    """The relay lists the client's holder block once, whatever the vias."""
+
+    def test_holder_grid_is_listed_once_for_every_via(self, monkeypatch):
+        # Three vias in range, each with only a busy holder in its range.
+        newcomer = client(1)
+        world = make_world([newcomer, client(2, 20.0, 0.0), client(3, -20.0, 0.0),
+                            client(4, 0.0, 20.0),
+                            client(5, 40.0, 0.0, holder=True, uploading=True),
+                            client(6, -40.0, 0.0, holder=True, uploading=True),
+                            client(7, 0.0, 40.0, holder=True, uploading=True)])
+        holders = world.holders[1]
+        listed, searched = [], []
+        cells_near, nearest = NeighborIndex.cells_near, caching._nearest
+
+        def listing(grid, pos, reach=1):
+            listed.append(grid)
+            return cells_near(grid, pos, reach)
+
+        def searching(world, cells, pos, *rest):
+            searched.append(pos)
+            return nearest(world, cells, pos, *rest)
+
+        monkeypatch.setattr(NeighborIndex, "cells_near", listing)
+        monkeypatch.setattr(caching, "_nearest", searching)
+        assert caching._find_relay(world, newcomer, world.now) is None
+        # One search over the index, then one holder search per via.
+        assert len(searched) == 4
+        assert [grid for grid in listed if grid is holders] == [holders]
+
+    def test_no_holder_in_the_block_never_reads_the_index(self, monkeypatch):
+        # Holder 3 sits three cells out, beyond the reach of via 2 or any
+        # other client in the newcomer's range.
+        newcomer = client(1)
+        world = make_world([newcomer, client(2, 20.0, 0.0), client(3, 80.0, 0.0, holder=True)])
+        monkeypatch.delattr(world, "index")
+        assert caching._find_relay(world, newcomer, world.now) is None
 
 
 class TestPoR:
