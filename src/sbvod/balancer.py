@@ -1,9 +1,9 @@
 """Least-requests balancing across the local proxy servers.
 
 The table mirrors what the forwarder would keep in memory: one row per
-proxy with its live request count and the exact set of clients it is
-serving. Counts and sets are kept in lock step; every mutation either
-fully applies or raises without touching the table.
+proxy and the exact set of clients it is serving, whose size is its
+live request count. Every mutation either fully applies or raises
+without touching the table.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ class LpsEntry:
     lps_id: int
     name: str
     address: str
-    request_count: int = 0
     client_ids: set[str] = field(default_factory=set)
+
+    @property
+    def request_count(self) -> int:
+        return len(self.client_ids)
 
 
 @dataclass
@@ -73,14 +76,13 @@ def assign_lps(table: LpsTable) -> int:
 
 
 def record_request(table: LpsTable, lps_id: int, client_id: str) -> LpsTable:
-    """Register ``client_id`` on the given proxy and bump its count."""
+    """Register ``client_id`` on the given proxy, which raises its count."""
     entry = table.entry(lps_id)
     if client_id in entry.client_ids:
         raise DuplicateClientError(
             f"client {client_id!r} already recorded on LPS {lps_id}"
         )
     entry.client_ids.add(client_id)
-    entry.request_count += 1
     return table
 
 
@@ -90,5 +92,4 @@ def release_request(table: LpsTable, lps_id: int, client_id: str) -> LpsTable:
     if client_id not in entry.client_ids:
         raise UnknownClientError(f"client {client_id!r} not recorded on LPS {lps_id}")
     entry.client_ids.discard(client_id)
-    entry.request_count -= 1
     return table

@@ -16,6 +16,7 @@ import statistics
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 from . import analytic, engine
 from .caching import SchemeId, SourceKind, normalize_scheme
@@ -30,14 +31,33 @@ from .domain import (
 )
 from .engine import MetricsReport, SimulationError, run_simulation
 
-EXPERIMENT_NAMES = ("delay_vs_arrival", "delay_vs_length", "failure_vs_arrival", "custom")
+_ARRIVAL_SWEEP = (2.0, 4.0, 6.0, 8.0, 10.0)
+_CUSTOM = "custom"
+# Each experiment's swept field and default values; a custom one takes both from the flags.
+_EXPERIMENTS: dict[str, tuple[str | None, tuple[float, ...]]] = {
+    "delay_vs_arrival": ("arrival_rate_per_min", _ARRIVAL_SWEEP),
+    "delay_vs_length": ("video_length_minutes", (30.0, 60.0, 90.0)),
+    "failure_vs_arrival": ("arrival_rate_per_min", _ARRIVAL_SWEEP),
+    _CUSTOM: (None, ()),
+}
+EXPERIMENT_NAMES = tuple(_EXPERIMENTS)
 
 _SWEEP_VARS = {"arrival": "arrival_rate_per_min", "length": "video_length_minutes"}
-_DEFAULT_ARRIVAL_SWEEP = (2.0, 4.0, 6.0, 8.0, 10.0)
-_DEFAULT_LENGTH_SWEEP = (30.0, 60.0, 90.0)
 
-# One CSV column per acquisition outcome, in the engine's histogram order.
-_OUTCOME_KINDS = tuple(k.value for k in SourceKind)
+# The statistic columns in CSV order, each with its value in a report. A
+# run row prints the value; an agg row prints its mean over the
+# replications that have one. ci95_ms has no per-run value: only an agg
+# row computes it.
+_STATS: tuple[tuple[str, Callable[[MetricsReport], float | None] | None], ...] = (
+    ("arrivals", lambda r: r.arrivals),
+    ("mean_delay_ms", lambda r: r.mean_startup_delay_ms),
+    ("ci95_ms", None),
+    ("failure_prob", lambda r: r.failure_probability),
+    ("attempts", lambda r: r.attempts),
+    ("failures", lambda r: r.failures),
+    # One column per acquisition outcome, in the engine's histogram order.
+    *((f"outcome_{k.value}", lambda r, k=k.value: r.outcome_counts[k]) for k in SourceKind),
+)
 
 CSV_COLUMNS = (
     "experiment",
@@ -46,13 +66,7 @@ CSV_COLUMNS = (
     "video_length_min",
     "replication",
     "seed",
-    "arrivals",
-    "mean_delay_ms",
-    "ci95_ms",
-    "failure_prob",
-    "attempts",
-    "failures",
-    *(f"outcome_{k}" for k in _OUTCOME_KINDS),
+    *(name for name, _value in _STATS),
     "lps_requests",
 )
 
@@ -78,12 +92,17 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be non-empty")
         if self.replications < 1:
             raise ConfigError("replications must be at least 1")
-        if self.sweep_var not in ("arrival_rate_per_min", "video_length_minutes"):
+        if self.sweep_var not in _SWEEP_VARS.values():
             raise ConfigError(f"unsupported sweep variable {self.sweep_var!r}")
 
 
 def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.6f}"
+
+
+def _cell(x: float | None) -> str:
+    """An integer as an integer, a float to six decimals, ``None`` as an empty cell."""
+    return str(x) if isinstance(x, int) else _fmt(x)
 
 
 def _fmt_lps(requests: dict[int, int]) -> str:
@@ -96,24 +115,15 @@ def _write_csv(path: str, rows: list[str]) -> Path:
     return out
 
 
+def _row(name: str, scheme: str, cfg: SimConfig, rep: str, seed: int,
+         stats: list[float | None], lps: str) -> str:
+    return ",".join((name, scheme, f"{cfg.arrival_rate_per_min:g}", f"{cfg.video_length_minutes:g}",
+                     rep, str(seed), *map(_cell, stats), lps))
+
+
 def _run_row(name: str, cfg: SimConfig, rep: int, report: MetricsReport) -> str:
-    cells = (
-        name,
-        report.scheme,
-        f"{cfg.arrival_rate_per_min:g}",
-        f"{cfg.video_length_minutes:g}",
-        str(rep),
-        str(report.seed),
-        str(report.arrivals),
-        _fmt(report.mean_startup_delay_ms),
-        "",
-        _fmt(report.failure_probability),
-        str(report.attempts),
-        str(report.failures),
-        *(str(report.outcome_counts[k]) for k in _OUTCOME_KINDS),
-        _fmt_lps(report.lps_requests),
-    )
-    return ",".join(cells)
+    stats = [None if value is None else value(report) for _name, value in _STATS]
+    return _row(name, report.scheme, cfg, str(rep), report.seed, stats, _fmt_lps(report.lps_requests))
 
 
 # Two-sided 95% Student-t quantiles for 1 to 29 degrees of freedom.
@@ -149,33 +159,19 @@ def _t975(df: int) -> float:
     return z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4
 
 
-def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport]) -> str:
-    def col(values: list[float | None]) -> str:
-        kept = [v for v in values if v is not None]
-        return _fmt(sum(kept) / len(kept)) if kept else ""
+def _mean(values: list[float | None]) -> float | None:
+    kept = [v for v in values if v is not None]
+    return sum(kept) / len(kept) if kept else None
 
+
+def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport]) -> str:
     means = [r.mean_startup_delay_ms for r in reports if r.mean_startup_delay_ms is not None]
     if len(means) >= 2:
         ci = _t975(len(means) - 1) * statistics.stdev(means) / math.sqrt(len(means))
     else:
         ci = 0.0 if means else None
-    cells = (
-        spec.name,
-        reports[0].scheme,
-        f"{cfg.arrival_rate_per_min:g}",
-        f"{cfg.video_length_minutes:g}",
-        "agg",
-        str(spec.base.seed),
-        col([float(r.arrivals) for r in reports]),
-        col([r.mean_startup_delay_ms for r in reports]),
-        _fmt(ci),
-        col([r.failure_probability for r in reports]),
-        col([float(r.attempts) for r in reports]),
-        col([float(r.failures) for r in reports]),
-        *(col([float(r.outcome_counts[k]) for r in reports]) for k in _OUTCOME_KINDS),
-        "",
-    )
-    return ",".join(cells)
+    stats = [ci if value is None else _mean([value(r) for r in reports]) for _name, value in _STATS]
+    return _row(spec.name, reports[0].scheme, cfg, "agg", spec.base.seed, stats, "")
 
 
 def _cfg_for_value(spec: ExperimentSpec, value: float) -> SimConfig:
@@ -288,7 +284,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
     exp = sub.add_parser("experiment", help="run a sweep and write a CSV")
     exp.add_argument("--config", type=str, default=None)
-    exp.add_argument("--name", choices=EXPERIMENT_NAMES, default="delay_vs_arrival")
+    exp.add_argument("--name", choices=EXPERIMENT_NAMES, default=EXPERIMENT_NAMES[0])
     exp.add_argument("--scheme", type=_scheme_arg, default=None,
                      help="comma-separated schemes; default is all six")
     exp.add_argument("--seed", type=int, default=None)
@@ -332,13 +328,10 @@ def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
     """The sweep the arguments ask for; a point that cannot run raises ``ConfigError`` here."""
     base = _load_base_config(ns.config, ns.seed)
     schemes = tuple(SchemeId) if ns.scheme is None else tuple(ns.scheme)
-    if ns.name == "delay_vs_length":
-        sweep_var, values = "video_length_minutes", _DEFAULT_LENGTH_SWEEP
-    elif ns.name in ("delay_vs_arrival", "failure_vs_arrival"):
-        sweep_var, values = "arrival_rate_per_min", _DEFAULT_ARRIVAL_SWEEP
-    else:
+    sweep_var, values = _EXPERIMENTS[ns.name]
+    if sweep_var is None:
         if ns.sweep is None or ns.sweep_var is None:
-            raise ConfigError("custom experiments need --sweep and --sweep-var")
+            raise ConfigError(f"{ns.name} experiments need --sweep and --sweep-var")
         sweep_var = _SWEEP_VARS[ns.sweep_var]
     if ns.sweep_var is not None and _SWEEP_VARS[ns.sweep_var] != sweep_var:
         raise ConfigError(f"--sweep-var {ns.sweep_var} does not apply to {ns.name}, which sweeps {sweep_var}")
@@ -395,7 +388,7 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
     report = run_simulation(cfg, ns.scheme[0], trace=trace)
     _print_aligned(_report_pairs(report))
     if ns.out:
-        _write_csv(ns.out, [_run_row("custom", cfg, 0, report)])
+        _write_csv(ns.out, [_run_row(_CUSTOM, cfg, 0, report)])
     return 0
 
 

@@ -80,24 +80,25 @@ class MetricsReport:
     seed: int
     lps_requests: dict[int, int]
     delay_sum_ms: int = 0
-    attempts: int = 0
     failures: int = 0
     outcome_counts: dict[str, int] = field(default_factory=lambda: {k.value: 0 for k in SourceKind})
 
     def add(self, out: AcquisitionOutcome) -> None:
-        """Count one arrival; it attempted a source other than the slot if it failed or got one."""
+        """Count one arrival."""
         self.delay_sum_ms += out.startup_delay_ms
         self.outcome_counts[out.source_kind.value] += 1
         if out.lps_id is not None:
             self.lps_requests[out.lps_id] += 1
-        if out.failed or out.source_kind is not SourceKind.CHANNEL_SLOT:
-            self.attempts += 1
-            if out.failed:
-                self.failures += 1
+        self.failures += out.failed
 
     @property
     def arrivals(self) -> int:
         return sum(self.outcome_counts.values())
+
+    @property
+    def attempts(self) -> int:
+        """Arrivals that tried a source other than the slot: each non-slot outcome, and each failure (it fell back)."""
+        return self.failures + self.arrivals - self.outcome_counts[SourceKind.CHANNEL_SLOT.value]
 
     @property
     def empty(self) -> bool:

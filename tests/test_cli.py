@@ -144,18 +144,36 @@ class TestRunExperiment:
         run_experiment(tiny_spec(out))
         lines = out.read_text(encoding="utf-8").splitlines()
         cols = {name: i for i, name in enumerate(CSV_COLUMNS)}
+        stats = [c for c in CSV_COLUMNS[cols["arrivals"]:cols["lps_requests"]] if c != "ci95_ms"]
+        assert len(stats) == 10
         groups: dict[tuple, list[list[str]]] = {}
         for ln in lines[1:]:
             r = ln.split(",")
+            assert len(r) == len(CSV_COLUMNS)
             groups.setdefault((r[1], r[2]), []).append(r)
         for (scheme, lam), rows in groups.items():
             reps = [r for r in rows if r[cols["replication"]] != "agg"]
             (agg,) = [r for r in rows if r[cols["replication"]] == "agg"]
-            for col in ("mean_delay_ms", "failure_prob", "arrivals"):
+            for col in stats:
                 want = sum(float(r[cols[col]]) for r in reps) / len(reps)
                 # Both sides round to six decimals independently, so they can
                 # legitimately differ by one unit in the last printed place.
                 assert float(agg[cols[col]]) == pytest.approx(want, abs=1.01e-6)
+
+    def test_one_replication_agg_repeats_its_run(self, tmp_path):
+        out = tmp_path / "r.csv"
+        run_experiment(tiny_spec(out, schemes=(SchemeId.NO_CACHE, SchemeId.POR_CACHE), reps=1))
+        rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()[1:]]
+        cols = {name: i for i, name in enumerate(CSV_COLUMNS)}
+        assert len(rows) == 2 * 2 * 2 and all(len(r) == len(CSV_COLUMNS) for r in rows)
+        for run, agg in zip(rows[::2], rows[1::2]):
+            assert (run[cols["replication"]], agg[cols["replication"]]) == ("0", "agg")
+            for col in CSV_COLUMNS[cols["arrivals"]:cols["lps_requests"]]:
+                if col == "ci95_ms":
+                    assert (run[cols[col]], agg[cols[col]]) == ("", "0.000000")
+                else:
+                    assert agg[cols[col]] == f"{float(run[cols[col]]):.6f}"
+            assert agg[cols["lps_requests"]] == ""
 
     def test_ci_formula(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -20,6 +20,7 @@ from sbvod.domain import MS_PER_MINUTE, SimConfig, validate_config
 from sbvod.engine import (
     ClientRecord,
     ClientState,
+    MetricsReport,
     Simulation,
     SimulationError,
     StreamPool,
@@ -290,6 +291,24 @@ class TestRunMetrics:
         assert report.failures == 0
         assert report.failure_probability == 0.0
         assert report.outcome_counts["channel_slot"] == report.arrivals
+
+    @pytest.mark.parametrize("scheme", list(SchemeId))
+    def test_attempts_are_failures_and_non_slot_outcomes(self, scheme, monkeypatch):
+        # Two streams per pool at 10 arrivals/min: por and proxy refuse some attempts.
+        outcomes = []
+        add = MetricsReport.add
+
+        def recording(report, out):
+            outcomes.append(out)
+            add(report, out)
+
+        monkeypatch.setattr(MetricsReport, "add", recording)
+        report = run_simulation(short_cfg(arrival_rate_per_min=10.0, lps_capacity=2, horizon_minutes=60.0), scheme)
+        assert len(outcomes) == report.arrivals > 0
+        assert report.failures > 0 or scheme is SchemeId.NO_CACHE
+        recount = sum(out.failed or out.source_kind is not SourceKind.CHANNEL_SLOT for out in outcomes)
+        assert recount == report.attempts
+        assert sum(out.failed for out in outcomes) == report.failures
 
     def test_outcome_histogram_totals_arrivals(self):
         for scheme in SchemeId:
