@@ -8,10 +8,10 @@ forwarder's RAM pool, or a proxy server picked by the load balancer.
 
 Strategies are pure. The ``world`` they are handed is the running
 ``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
-``plan``, ``clients``, ``index``, ``holders``, ``lps_table``,
-``lps_pools`` and ``por_pool``. They return an :class:`AcquisitionOutcome`,
-and the engine applies it (marking uploads, queueing, recording balancer
-requests).
+``plan``, ``clients``, ``index`` (under dsc only), ``holders``,
+``lps_table``, ``lps_pools`` and ``por_pool``. They return an
+:class:`AcquisitionOutcome`, and the engine applies it (marking uploads,
+queueing, recording balancer requests).
 
 Neighbour searches scan grid cells: the 3x3 block around a point holds
 every client in range of it, and the 5x5 block around a client every holder
@@ -21,9 +21,8 @@ in range of an in-range forwarder, so a relay lists that block just once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import balancer as _balancer
 from .domain import _CELL_SLACK, SimConfig
@@ -74,18 +73,8 @@ class SourceKind(Enum):
 # two-hop relay claws back most of the lost coverage but not all of it.
 DSC_CACHE_PROB = 0.35
 
-@dataclass(frozen=True)
-class AcquisitionOutcome:
-    """What one late client ends up doing for its first segment.
 
-    ``startup_delay_ms`` counts from the arrival instant to the first
-    playable data. A failed attempt always falls back to the broadcast
-    slot, so ``failed`` implies ``source_kind == CHANNEL_SLOT`` and the
-    delay includes both the slot wait and the probe hops that were spent
-    discovering there was nothing better. Only channel-slot outcomes set
-    ``slot_wait_ms``.
-    """
-
+class _OutcomeFields(NamedTuple):
     source_kind: SourceKind
     startup_delay_ms: int
     failed: bool = False
@@ -96,15 +85,34 @@ class AcquisitionOutcome:
     queue_wait_ms: int = 0
     fetch_ms: int = 0
 
-    def __post_init__(self):
-        if self.startup_delay_ms < 0:
+
+class AcquisitionOutcome(_OutcomeFields):
+    """What one late client ends up doing for its first segment.
+
+    ``startup_delay_ms`` counts from the arrival instant to the first
+    playable data. A failed attempt always falls back to the broadcast
+    slot, so ``failed`` implies ``source_kind == CHANNEL_SLOT`` and the
+    delay includes both the slot wait and the probe hops that were spent
+    discovering there was nothing better. Only channel-slot outcomes set
+    ``slot_wait_ms``.
+
+    Immutable, since the engine shares one on-time outcome between clients.
+    ``__new__`` checks the arguments, then builds the tuple itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, source_kind, startup_delay_ms, failed=False, holder_id=None, via_id=None,
+                lps_id=None, slot_wait_ms=0, queue_wait_ms=0, fetch_ms=0):
+        if startup_delay_ms < 0:
             raise ValueError("startup_delay_ms must be non-negative")
-        if self.failed and self.source_kind is not SourceKind.CHANNEL_SLOT:
+        if source_kind is SourceKind.CHANNEL_SLOT:
+            if holder_id is not None or via_id is not None or lps_id is not None:
+                raise ValueError("channel-slot outcomes carry no source ids")
+        elif failed:
             raise ValueError("a failed acquisition must fall back to the channel slot")
-        if self.source_kind is SourceKind.CHANNEL_SLOT and (
-            self.holder_id is not None or self.via_id is not None or self.lps_id is not None
-        ):
-            raise ValueError("channel-slot outcomes carry no source ids")
+        return tuple.__new__(cls, (source_kind, startup_delay_ms, failed, holder_id, via_id,
+                                   lps_id, slot_wait_ms, queue_wait_ms, fetch_ms))
 
 
 class NeighborIndex:
@@ -114,8 +122,8 @@ class NeighborIndex:
     range of a query point sits in one of the nine cells around it (the
     derivation sits with ``domain._MAX_GRID_CELLS``). Lookups return
     candidate ids; exact range filtering is the caller's job. The engine
-    keeps one index over every present client and one per video over its
-    present holders, busy or not.
+    keeps one per video over its present holders, busy or not, and, under
+    dsc only, one over every present client for the relay search.
     """
 
     def __init__(self, range_m: float):
@@ -242,16 +250,16 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     ``world`` is the running ``engine.Simulation``; the strategy only reads
     its ``now``, ``cfg``, ``plan``, ``clients``, ``index``, ``holders``,
-    ``lps_table``, ``lps_pools`` and ``por_pool``. ``index`` holds every
-    present client; ``holders[video_id]`` holds that video's present
-    holders, busy or not (the engine's mapping makes an empty grid on a
-    video's first lookup), and a holder's ``uploading`` flag alone says it
-    is busy. ``arrival`` is ``classify_arrival`` of the plan at ``world.now``. The
-    client missed the current segment-1 slot by some margin; every
-    scheme may fall back to the next slot (``wait_ms`` away), and the
-    queue-backed schemes refuse a queue that would outlast that slot,
-    which is what makes their acquisition failures impossible while spare
-    capacity exists.
+    ``lps_table``, ``lps_pools`` and ``por_pool``. Under dsc only, ``index``
+    holds every present client; it is None under the other schemes.
+    ``holders[video_id]`` holds that video's present holders, busy or not
+    (the engine's mapping makes an empty grid on a video's first lookup),
+    and a holder's ``uploading`` flag alone says it is busy. ``arrival`` is
+    ``classify_arrival`` of the plan at ``world.now``. The client missed
+    the current segment-1 slot by some margin; every scheme may fall back
+    to the next slot (``wait_ms`` away), and the queue-backed schemes
+    refuse a queue that would outlast that slot, which is what makes their
+    acquisition failures impossible while spare capacity exists.
     """
     if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")

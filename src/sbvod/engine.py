@@ -187,7 +187,8 @@ class Simulation:
         # (time_ms, seq, handler, client_id): seq is unique, so handlers are never compared.
         self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
         self.clients: dict[int, ClientRecord] = {}
-        self.index = NeighborIndex(cfg.client_range_m)
+        # Every present client, for dsc's relay search alone; no other scheme has one.
+        self.index = NeighborIndex(cfg.client_range_m) if scheme is SchemeId.DSC_CACHE else None
         # Per video: exactly its present holders, busy or not, in a grid
         # made the first time the video is looked up.
         self.holders = defaultdict(partial(NeighborIndex, cfg.client_range_m))
@@ -260,7 +261,8 @@ class Simulation:
         c = ClientRecord(id=cid, arrival_ms=self.now, position=self._draw_position(),
                          video_id=self._draw_video())
         self.clients[cid] = c
-        self.index.add(cid, c.position)
+        if self.index is not None:
+            self.index.add(cid, c.position)
 
         arrival = classify_arrival(self.plan, self.now)
         if self.trace is not None:
@@ -358,7 +360,8 @@ class Simulation:
         c = self.clients[client_id]
         if c.uploading:
             raise SimulationError(f"holder {c.id} departed mid-upload")
-        self.index.remove(c.id, c.position)
+        if self.index is not None:
+            self.index.remove(c.id, c.position)
         if c.holder:
             self.holders[c.video_id].remove(c.id, c.position)
         del self.clients[c.id]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .domain import _MAX_CHANNELS, MS_PER_MINUTE
 
@@ -71,8 +72,7 @@ def build_plan(video_length_minutes: int, channels: int) -> BroadcastPlan:
     )
 
 
-@dataclass(frozen=True)
-class ArrivalClass:
+class ArrivalClass(NamedTuple):
     """Whether an arrival coincides with a segment-1 slot.
 
     ``wait_ms`` is the time to the next segment-1 slot, 0 when on time.
@@ -87,5 +87,4 @@ def classify_arrival(plan: BroadcastPlan, t_ms: int) -> ArrivalClass:
     """Split an arrival into on-time (a slot starts now) or late by ``missed_ms``."""
     d = plan.segment_duration_ms
     missed = t_ms % d
-    return ArrivalClass(on_time=(missed == 0), missed_ms=missed,
-                        wait_ms=(d - missed) if missed else 0)
+    return ArrivalClass(missed == 0, missed, (d - missed) if missed else 0)

@@ -29,7 +29,7 @@ from sbvod.caching import (
     on_playback_started,
 )
 from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
-from sbvod.engine import ClientRecord, Simulation, StreamPool, run_simulation
+from sbvod.engine import _ON_TIME, ClientRecord, Simulation, StreamPool, run_simulation
 from sbvod.sb_scheduler import classify_arrival
 
 MIN = MS_PER_MINUTE
@@ -39,19 +39,21 @@ _FETCH_5_MIN = 8_334
 
 
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
-               por_pool=None, lps_pools=None, range_m=25.0):
-    """A fresh run at ``now_ms`` holding ``clients``: what the engine hands a strategy.
+               por_pool=None, lps_pools=None, range_m=25.0, scheme=SchemeId.NO_CACHE):
+    """A fresh ``scheme`` run at ``now_ms`` holding ``clients``: what the engine hands a strategy.
 
     ``lps_counts`` maps proxy ids 1..n to the requests already on each.
+    Only a dsc run has the all-client index, so only its world fills one.
     """
     cfg = SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
                     bandwidth_mbps=54.0, random_cache_prob=0.5, lps_capacity=lps_capacity,
                     num_lps=len(lps_counts) if lps_counts else 2)
-    world = Simulation(cfg, SchemeId.NO_CACHE)
+    world = Simulation(cfg, scheme)
     world.now = now_ms
     for c in clients:
         world.clients[c.id] = c
-        world.index.add(c.id, c.position)
+        if world.index is not None:
+            world.index.add(c.id, c.position)
         # As in the engine, a video's grid holds its busy holders too.
         if c.holder:
             world.holders[c.video_id].add(c.id, c.position)
@@ -63,6 +65,11 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
     if lps_pools is not None:
         world.lps_pools = lps_pools
     return world
+
+
+def dsc_world(clients, **kwargs):
+    """``make_world`` of a dsc run; the direct-search schemes may share it, as they never read its index."""
+    return make_world(clients, scheme=SchemeId.DSC_CACHE, **kwargs)
 
 
 def acquire(scheme, newcomer, world):
@@ -121,6 +128,54 @@ class TestOutcomeInvariants:
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
             AcquisitionOutcome(source_kind=SourceKind.POR, startup_delay_ms=-1)
+
+
+class TestOutcomeValues:
+    """Outcomes are immutable tuples whose fields, defaults and repr stay fixed."""
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(source_kind=SourceKind.POR, startup_delay_ms=-1), "must be non-negative"),
+        (dict(source_kind=SourceKind.RELAY, startup_delay_ms=60, failed=True, holder_id=3),
+         "must fall back to the channel slot"),
+        (dict(source_kind=SourceKind.CHANNEL_SLOT, startup_delay_ms=0, lps_id=1), "carry no source ids"),
+        (dict(source_kind=SourceKind.CHANNEL_SLOT, startup_delay_ms=0, via_id=2), "carry no source ids"),
+    ])
+    def test_each_rule_names_itself(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            AcquisitionOutcome(**kwargs)
+
+    def test_fields_cannot_be_assigned(self):
+        out = AcquisitionOutcome(SourceKind.NEIGHBOR, 40, holder_id=2, fetch_ms=8)
+        for value in (out, _ON_TIME):
+            with pytest.raises(AttributeError):
+                value.startup_delay_ms = 0
+            with pytest.raises(AttributeError):
+                value.note = "no instance dict"
+        assert out == (SourceKind.NEIGHBOR, 40, False, 2, None, None, 0, 0, 8)
+        assert _ON_TIME.startup_delay_ms == 0 and not _ON_TIME.failed
+
+    def test_repr_of_each_kind_is_pinned(self):
+        newcomer = client(1)
+        neighbor = acquire(SchemeId.ALL_CACHE, newcomer,
+                           make_world([newcomer, client(2, 10.0, 0.0, holder=True)]))
+        relay = acquire(SchemeId.DSC_CACHE, newcomer,
+                        dsc_world([newcomer, client(2, 20.0, 0.0), client(3, 40.0, 0.0, holder=True)]))
+        slot = acquire(SchemeId.DSC_CACHE, newcomer, dsc_world([newcomer, client(2, 20.0, 0.0)]))
+        lps = acquire(SchemeId.PROXY_CACHE, newcomer, make_world([newcomer], lps_counts={1: 3, 2: 1}))
+        assert [repr(out) for out in (neighbor, relay, slot, lps)] == [
+            "AcquisitionOutcome(source_kind=<SourceKind.NEIGHBOR: 'neighbor'>, startup_delay_ms=40, "
+            "failed=False, holder_id=2, via_id=None, lps_id=None, slot_wait_ms=0, queue_wait_ms=0, "
+            "fetch_ms=8334)",
+            "AcquisitionOutcome(source_kind=<SourceKind.RELAY: 'relay'>, startup_delay_ms=60, "
+            "failed=False, holder_id=3, via_id=2, lps_id=None, slot_wait_ms=0, queue_wait_ms=0, "
+            "fetch_ms=8334)",
+            "AcquisitionOutcome(source_kind=<SourceKind.CHANNEL_SLOT: 'channel_slot'>, "
+            "startup_delay_ms=420040, failed=True, holder_id=None, via_id=None, lps_id=None, "
+            "slot_wait_ms=420000, queue_wait_ms=0, fetch_ms=0)",
+            "AcquisitionOutcome(source_kind=<SourceKind.LPS: 'lps'>, startup_delay_ms=60, "
+            "failed=False, holder_id=None, via_id=None, lps_id=2, slot_wait_ms=0, queue_wait_ms=0, "
+            "fetch_ms=8334)",
+        ]
 
 
 class TestFetchDuration:
@@ -252,7 +307,7 @@ class TestDscRelay:
         newcomer = client(1, 0.0, 0.0)
         via = client(2, 20.0, 0.0)
         holder = client(3, 40.0, 0.0, holder=True)
-        world = make_world([newcomer, via, holder])
+        world = dsc_world([newcomer, via, holder])
         out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.RELAY
         assert out.startup_delay_ms == 3 * LATENCY == 60
@@ -268,30 +323,30 @@ class TestDscRelay:
         staying = client(3, 20.0, 5.0, playback_start_ms=10 * MIN)
         holder = client(4, 40.0, 0.0, holder=True, playback_start_ms=10 * MIN)
         out = acquire(SchemeId.DSC_CACHE, newcomer,
-                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+                                    dsc_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (3, 4)
         out = acquire(SchemeId.DSC_CACHE, newcomer,
-                                    make_world([newcomer, leaving, holder], now_ms=now))
+                                    dsc_world([newcomer, leaving, holder], now_ms=now))
         assert out.failed
         # A via whose playback ends as the relayed transfer ends is skipped;
         # one that ends 1 ms later serves.
         leaving.playback_start_ms = now + 3 * LATENCY + _FETCH_5_MIN - 60 * MIN
         out = acquire(SchemeId.DSC_CACHE, newcomer,
-                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+                                    dsc_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (3, 4)
         leaving.playback_start_ms += 1
         out = acquire(SchemeId.DSC_CACHE, newcomer,
-                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+                                    dsc_world([newcomer, leaving, staying, holder], now_ms=now))
         assert (out.via_id, out.holder_id) == (2, 4)
         # A relay holder that leaves first is skipped the same way.
         holder.playback_start_ms = 5 * MIN
         out = acquire(SchemeId.DSC_CACHE, newcomer,
-                                    make_world([newcomer, leaving, staying, holder], now_ms=now))
+                                    dsc_world([newcomer, leaving, staying, holder], now_ms=now))
         assert out.failed
 
     def test_direct_holder_preferred_over_relay(self):
         newcomer = client(1)
-        world = make_world(
+        world = dsc_world(
             [newcomer, client(2, 10.0, 0.0, holder=True), client(3, 20.0, 0.0),
              client(4, 40.0, 0.0, holder=True)]
         )
@@ -301,7 +356,7 @@ class TestDscRelay:
 
     def test_failure_burns_two_probe_hops(self):
         newcomer = client(1)
-        world = make_world([newcomer, client(2, 20.0, 0.0)], now_ms=5 * MIN)
+        world = dsc_world([newcomer, client(2, 20.0, 0.0)], now_ms=5 * MIN)
         out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == 7 * MIN + 2 * LATENCY
@@ -313,9 +368,9 @@ class TestDscRelay:
         r = 2.0**509
         cell = NeighborIndex(r).cell_m
         newcomer = client(1)
-        world = make_world([newcomer, client(2, -0.7 * cell, -0.7 * cell),
-                            client(3, 2.99 * cell, 2.99 * cell, holder=True),
-                            client(4, -1.4 * cell, -1.4 * cell, holder=True)], range_m=r)
+        world = dsc_world([newcomer, client(2, -0.7 * cell, -0.7 * cell),
+                           client(3, 2.99 * cell, 2.99 * cell, holder=True),
+                           client(4, -1.4 * cell, -1.4 * cell, holder=True)], range_m=r)
         out = acquire(SchemeId.DSC_CACHE, newcomer, world)
         assert (out.source_kind, out.via_id, out.holder_id) == (SourceKind.RELAY, 2, 4)
 
@@ -329,7 +384,7 @@ class TestDscRelay:
                 for i in range(2, rng.randint(3, 12))
             ]
             newcomer = client(1, rng.uniform(-30, 30), rng.uniform(-30, 30))
-            world = make_world([newcomer] + people)
+            world = dsc_world([newcomer] + people)
             direct = acquire(SchemeId.ALL_CACHE, newcomer, world)
             relayed = acquire(SchemeId.DSC_CACHE, newcomer, world)
             if not direct.failed:
@@ -434,7 +489,7 @@ def test_search_matches_sort_every_candidate_reference():
         ]
         worlds.append((client(1, *_random_point(rng)), people))
     for newcomer, people in worlds:
-        world = make_world([newcomer] + people, now_ms=65 * MIN)
+        world = dsc_world([newcomer] + people, now_ms=65 * MIN)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
             out = acquire(scheme, newcomer, world)
             got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
@@ -471,11 +526,11 @@ class TestRelaySearchCost:
     def test_holder_grid_is_listed_once_for_every_via(self, monkeypatch):
         # Three vias in range, each with only a busy holder in its range.
         newcomer = client(1)
-        world = make_world([newcomer, client(2, 20.0, 0.0), client(3, -20.0, 0.0),
-                            client(4, 0.0, 20.0),
-                            client(5, 40.0, 0.0, holder=True, uploading=True),
-                            client(6, -40.0, 0.0, holder=True, uploading=True),
-                            client(7, 0.0, 40.0, holder=True, uploading=True)])
+        world = dsc_world([newcomer, client(2, 20.0, 0.0), client(3, -20.0, 0.0),
+                           client(4, 0.0, 20.0),
+                           client(5, 40.0, 0.0, holder=True, uploading=True),
+                           client(6, -40.0, 0.0, holder=True, uploading=True),
+                           client(7, 0.0, 40.0, holder=True, uploading=True)])
         holders = world.holders[1]
         listed, searched = [], []
         cells_near, nearest = NeighborIndex.cells_near, caching._nearest
@@ -499,7 +554,7 @@ class TestRelaySearchCost:
         # Holder 3 sits three cells out, beyond the reach of via 2 or any
         # other client in the newcomer's range.
         newcomer = client(1)
-        world = make_world([newcomer, client(2, 20.0, 0.0), client(3, 80.0, 0.0, holder=True)])
+        world = dsc_world([newcomer, client(2, 20.0, 0.0), client(3, 80.0, 0.0, holder=True)])
         monkeypatch.delattr(world, "index")
         assert caching._find_relay(world, newcomer, world.now) is None
 
@@ -573,8 +628,8 @@ class TestDeterminism:
         ]
         newcomer = client(1, 3.0, -2.0)
         for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE, SchemeId.RANDOM_CACHE):
-            a = acquire(scheme, newcomer, make_world([newcomer] + people))
-            b = acquire(scheme, newcomer, make_world([newcomer] + people))
+            a = acquire(scheme, newcomer, make_world([newcomer] + people, scheme=scheme))
+            b = acquire(scheme, newcomer, make_world([newcomer] + people, scheme=scheme))
             assert a == b
 
 

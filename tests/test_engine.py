@@ -396,7 +396,6 @@ class TestHolderExclusivity:
                               playback_start_ms=0)
         sim.clients[1] = holder
         sim.arrived = 1
-        sim.index.add(1, holder.position)
         sim._begin_playback(holder)
         assert holder.playback_start_ms + sim.plan.cycle_ms == 3_600_000
         sim._schedule(arrival_ms, sim._on_arrival)
@@ -434,17 +433,18 @@ class TestHolderExclusivity:
 
 def _grid_ids(grid):
     ids = [cid for cell in grid._cells.values() for cid in cell]
-    assert len(ids) == len(set(ids)), "a client is in one holder grid twice"
+    assert len(ids) == len(set(ids)), "a client is in one grid twice"
     return set(ids)
 
 
 @pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
 def test_free_holder_grids_track_eligible_holders(scheme):
     # Each video's grid holds exactly its present holders, busy or not,
-    # after every event. Two-minute videos on one channel over a link just
-    # wide enough for seven of them: fetches last up to a seventh of the
-    # video, so holders near the end of playback would leave mid-upload if
-    # the search did not skip them.
+    # after every event, and under dsc the index every present client.
+    # Two-minute videos on one channel over a link just wide enough for
+    # seven of them: fetches last up to a seventh of the video, so holders
+    # near the end of playback would leave mid-upload if the search did not
+    # skip them.
     cfg = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
                     lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
                     warmup_minutes=5.0, seed=2)
@@ -462,8 +462,20 @@ def test_free_holder_grids_track_eligible_holders(scheme):
         for vid, grid in sim.holders.items():
             want = {c.id for c in sim.clients.values() if c.video_id == vid and c.holder}
             assert _grid_ids(grid) == want, (sim.now, vid)
+        if scheme is SchemeId.DSC_CACHE:
+            assert _grid_ids(sim.index) == set(sim.clients), sim.now
     assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
     assert sim.report.outcome_counts["neighbor"] > 0
+
+
+@pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.DSC_CACHE])
+def test_only_dsc_keeps_the_all_client_index(scheme):
+    # Only dsc's relay search reads the index of every present client, so
+    # no other scheme builds one, and a busy run completes without it.
+    sim = Simulation(short_cfg(arrival_rate_per_min=10.0, horizon_minutes=30.0), scheme)
+    assert sim.index is None
+    report = sim.run()
+    assert report.arrivals > 100 and sim.arrived == sim.departed
 
 
 def _started(cfg, scheme):
@@ -493,10 +505,12 @@ def _pools(sim):
 
 def _run_state(sim):
     """Everything of a run that a strategy could write to, as plain values."""
+    grids = dict(sim.holders)
+    if sim.index is not None:
+        grids[None] = sim.index
     return (
         {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
-        {vid: {key: list(cell) for key, cell in grid._cells.items()}
-         for vid, grid in [(None, sim.index), *sim.holders.items()]},
+        {vid: {key: list(cell) for key, cell in grid._cells.items()} for vid, grid in grids.items()},
         [(list(pool._ends), list(pool._pending)) for pool in _pools(sim)],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
         (sim.now, sim._seq, len(sim._heap)),
@@ -525,7 +539,8 @@ def test_strategies_only_read_the_run(scheme):
                       lambda s: _busy(s) and not classify_arrival(s.plan, s.now).on_time)
     newcomer = ClientRecord(id=sim.arrived + 1, arrival_ms=sim.now, position=(0.0, 0.0), video_id=1)
     sim.clients[newcomer.id] = newcomer
-    sim.index.add(newcomer.id, newcomer.position)
+    if sim.index is not None:
+        sim.index.add(newcomer.id, newcomer.position)
     before = _run_state(sim)
     out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.plan, sim.now))
     assert _run_state(sim) == before

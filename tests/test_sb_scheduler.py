@@ -106,6 +106,14 @@ class TestNextFirstSegmentStart:
         plan = build_plan(60, 5)
         assert classify_arrival(plan, 12 * MIN).wait_ms == 0
 
+    def test_arrival_class_is_an_immutable_value(self):
+        arrival = classify_arrival(build_plan(60, 5), 5 * MIN)
+        assert repr(arrival) == "ArrivalClass(on_time=False, missed_ms=300000, wait_ms=420000)"
+        with pytest.raises(AttributeError):
+            arrival.wait_ms = 0
+        with pytest.raises(AttributeError):
+            arrival.note = "no instance dict"
+
     @given(st.integers(min_value=0, max_value=10 * 60 * MIN - 1))
     def test_wait_bounded_and_lands_on_segment_one(self, t):
         plan = build_plan(60, 5)
