@@ -8,6 +8,7 @@ without touching the table.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 
@@ -36,7 +37,7 @@ class LpsEntry:
     lps_id: int
     name: str
     address: str
-    client_ids: set[str] = field(default_factory=set)
+    client_ids: set[Hashable] = field(default_factory=set)
 
     @property
     def request_count(self) -> int:
@@ -71,11 +72,11 @@ def assign_lps(table: LpsTable) -> int:
     """
     if not table.entries:
         raise EmptyTableError("no LPS entries to assign from")
-    best = min(table.entries, key=lambda e: (e.request_count, e.lps_id))
+    best = min(table.entries, key=lambda e: (len(e.client_ids), e.lps_id))
     return best.lps_id
 
 
-def record_request(table: LpsTable, lps_id: int, client_id: str) -> LpsTable:
+def record_request(table: LpsTable, lps_id: int, client_id: Hashable) -> LpsTable:
     """Register ``client_id`` on the given proxy, which raises its count."""
     entry = table.entry(lps_id)
     if client_id in entry.client_ids:
@@ -86,7 +87,7 @@ def record_request(table: LpsTable, lps_id: int, client_id: str) -> LpsTable:
     return table
 
 
-def release_request(table: LpsTable, lps_id: int, client_id: str) -> LpsTable:
+def release_request(table: LpsTable, lps_id: int, client_id: Hashable) -> LpsTable:
     """Drop ``client_id`` from the proxy once its first segment finished streaming."""
     entry = table.entry(lps_id)
     if client_id not in entry.client_ids:

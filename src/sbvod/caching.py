@@ -13,9 +13,10 @@ Strategies are pure. The ``world`` they are handed is the running
 :class:`AcquisitionOutcome`, and the engine applies it (marking uploads,
 queueing, recording balancer requests).
 
-Neighbour searches scan grid cells: the 3x3 block around a point holds
-every client in range of it, and the 5x5 block around a client every holder
-in range of an in-range forwarder, so a relay lists that block just once.
+Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
+around a point holds every client in range of it, and the 5x5 block around
+a client every holder in range of an in-range forwarder, so a relay lists
+that block just once.
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ class NeighborIndex:
 
     Cells are a hair wider than the radio range, so every client within
     range of a query point sits in one of the nine cells around it (the
-    derivation sits with ``domain._MAX_GRID_CELLS``). Lookups return
-    candidate ids; exact range filtering is the caller's job. The engine
+    derivation sits with ``domain._MAX_GRID_CELLS``). A cell lists an
+    ``(x, y, id)`` entry per client, at its position as added. Lookups return
+    candidate cells; exact range filtering is the caller's job. The engine
     keeps one per video over its present holders, busy or not, and, under
     dsc only, one over every present client for the relay search.
     """
@@ -130,34 +132,35 @@ class NeighborIndex:
         if range_m <= 0:
             raise ValueError("range must be positive")
         self.cell_m = range_m * (1.0 + _CELL_SLACK)
-        self._cells: dict[tuple[int, int], list[int]] = {}
+        self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (math.floor(pos[0] / self.cell_m), math.floor(pos[1] / self.cell_m))
 
     def add(self, cid: int, pos: tuple[float, float]) -> None:
-        self._cells.setdefault(self._key(pos), []).append(cid)
+        self._cells.setdefault(self._key(pos), []).append((pos[0], pos[1], cid))
 
     def remove(self, cid: int, pos: tuple[float, float]) -> None:
         key = self._key(pos)
         try:
             cell = self._cells[key]
-            cell.remove(cid)
+            cell.remove((pos[0], pos[1], cid))
         except (KeyError, ValueError):
             raise KeyError(f"client {cid} not present in cell {key}") from None
         if not cell:
             del self._cells[key]
 
-    def cells_near(self, pos: tuple[float, float], reach: int = 1) -> list[list[int]]:
-        """The cells of the block ``reach`` cells around ``pos`` that hold an id.
+    def cells_near(self, pos: tuple[float, float], reach: int = 1
+                   ) -> list[list[tuple[float, float, int]]]:
+        """The cells of the block ``reach`` cells around ``pos`` that hold an entry.
 
-        The default 3x3 block holds every id within range. A cell is
-        dropped when its last id leaves, so a key present is a cell in use.
+        The default 3x3 block holds every client within range. A cell is
+        dropped when its last entry leaves, so a key present is a cell in use.
         """
         cx, cy = self._key(pos)
-        cells = self._cells
-        return [cells[key] for x in range(cx - reach, cx + reach + 1)
-                for y in range(cy - reach, cy + reach + 1) if (key := (x, y)) in cells]
+        get = self._cells.get
+        return [cell for x in range(cx - reach, cx + reach + 1)
+                for y in range(cy - reach, cy + reach + 1) if (cell := get((x, y))) is not None]
 
 
 def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
@@ -177,13 +180,14 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
     """(id, value) of the least (dist2, id) client in ``cells`` that serves, or None.
 
-    ``cells`` (id lists, such as ``grid.cells_near(pos)``) must hold every
-    client in range of ``pos``. A client other than ``skip_id`` serves if it
-    is in radio range of ``pos``, stays past ``until_ms``, when the transfer
-    ends, and ``serves(record)`` gives a value that is not None. One pass
-    keeps the least (dist2, id) so far and calls ``serves`` only for a
-    candidate that would replace it; ``serves`` only reads the world, so
-    this is the first serving client in (dist2, id) order.
+    ``cells`` (lists of ``(x, y, id)`` entries, such as ``grid.cells_near(pos)``)
+    must hold every client in range of ``pos``. A client other than
+    ``skip_id`` serves if it is in radio range of ``pos``, stays past
+    ``until_ms``, when the transfer ends, and ``serves(record)`` gives a
+    value that is not None. One pass keeps the least (dist2, id) so far and
+    reads the record and calls ``serves`` only for a candidate that would
+    replace it; ``serves`` only reads the world, so this is the first
+    serving client in (dist2, id) order.
     """
     # A client leaves as its playback ends, so it serves only if that is strictly
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
@@ -192,14 +196,16 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
     leave_by = until_ms - world.plan.cycle_ms  # playback started at or before this ends too soon
     clients = world.clients
     x, y = pos
-    best_d2, best_id, best_value = world.cfg.client_range_m**2, None, None
+    r = world.cfg.client_range_m
+    best_d2, best_id, best_value = r * r, None, None
     for cell in cells:
-        for cid in cell:
-            rec = clients[cid]
-            px, py = rec.position
-            d2 = (x - px) ** 2 + (y - py) ** 2
+        for px, py, cid in cell:
+            # Products, not ``** 2``: libm's pow may round differently by platform.
+            dx = x - px
+            dy = y - py
+            d2 = dx * dx + dy * dy
             if ((d2 < best_d2 or d2 == best_d2 and (best_id is None or cid < best_id))
-                    and cid != skip_id and rec.playback_start_ms > leave_by
+                    and cid != skip_id and (rec := clients[cid]).playback_start_ms > leave_by
                     and (value := serves(rec)) is not None):
                 best_d2, best_id, best_value = d2, cid, value
     return None if best_id is None else (best_id, best_value)

@@ -42,7 +42,9 @@ _PROB_TOL = 1e-9
 # stop there.
 #
 # Grid cells are a little wider than the range, so that every client in
-# range of a point sits in the 3x3 block of cells around it:
+# range of a point sits in the 3x3 block of cells around it. Squared
+# distances are IEEE products (dx * dx), correctly rounded on every
+# platform, not libm pow, whose ``** 2`` may round differently by platform:
 # - From 2**-500 m up, squares near range**2 are normal floats, so a
 #   squared distance that rounds to at most range**2 means each coordinate
 #   differs by at most range * (1 + 2**-51), well inside the 2**-20 slack.

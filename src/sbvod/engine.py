@@ -318,7 +318,7 @@ class Simulation:
     def _grant_stream(self, c: ClientRecord) -> None:
         # A queued job's slot was reserved when it arrived.
         if c.fetch.source_kind is SourceKind.LPS:
-            balancer.record_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
+            balancer.record_request(self.lps_table, c.fetch.lps_id, c.id)
         self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
 
     def _on_slot_start(self, client_id: int) -> None:
@@ -343,7 +343,7 @@ class Simulation:
                 raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
             holder.uploading = False
         elif c.fetch.source_kind is SourceKind.LPS:
-            balancer.release_request(self.lps_table, c.fetch.lps_id, f"C{c.id}")
+            balancer.release_request(self.lps_table, c.fetch.lps_id, c.id)
         self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 

@@ -79,7 +79,14 @@ def acquire(scheme, newcomer, world):
 
 def ids_near(index, pos, reach=1):
     """All ids in the block ``reach`` cells around ``pos``."""
-    return [cid for cell in index.cells_near(pos, reach) for cid in cell]
+    return [cid for cell in index.cells_near(pos, reach) for _x, _y, cid in cell]
+
+
+def dist2(a, b):
+    """Squared distance as ``caching._nearest`` computes it: products, not ``** 2``."""
+    dx = a[0] - b[0]
+    dy = a[1] - b[1]
+    return dx * dx + dy * dy
 
 
 def client(cid, x=0.0, y=0.0, holder=False, uploading=False, video_id=1, playback_start_ms=0):
@@ -393,7 +400,8 @@ class TestDscRelay:
 
 def _ref_candidates(world, pos, skip_id, until_ms):
     """Every present client in range that stays past ``until_ms``, sorted by (dist2, id)."""
-    r2 = world.cfg.client_range_m**2
+    r = world.cfg.client_range_m
+    r2 = r * r
     out = []
     for cid in ids_near(world.index, pos):
         if cid == skip_id:
@@ -402,7 +410,7 @@ def _ref_candidates(world, pos, skip_id, until_ms):
         # In a live run the arriving client has no playback yet and holds nothing.
         if rec is None or rec.playback_start_ms is None:
             continue
-        d2 = (pos[0] - rec.position[0]) ** 2 + (pos[1] - rec.position[1]) ** 2
+        d2 = dist2(pos, rec.position)
         if d2 <= r2 and rec.playback_start_ms + world.plan.cycle_ms > until_ms:
             out.append((d2, cid, rec))
     out.sort(key=lambda t: (t[0], t[1]))
@@ -718,8 +726,14 @@ class TestNeighborIndex:
 
     def test_remove_missing_raises(self):
         idx = NeighborIndex(25.0)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match=r"client 9 not present in cell \(0, 0\)"):
             idx.remove(9, (0.0, 0.0))
+        # An entry is its client's position as added: another point of the same cell misses it.
+        idx.add(9, (1.0, 0.0))
+        with pytest.raises(KeyError, match=r"client 9 not present in cell \(0, 0\)"):
+            idx.remove(9, (0.0, 0.0))
+        idx.remove(9, (1.0, 0.0))
+        assert idx.cells_near((0.0, 0.0)) == []
 
     @given(_in_range_chain())
     # A hair across the edge of cell -1, the holder at exactly the range.
@@ -734,10 +748,10 @@ class TestNeighborIndex:
         idx = NeighborIndex(r)
         idx.add(1, p)
         idx.add(2, h)
-        r2 = r**2
-        if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= r2:
+        r2 = r * r
+        if dist2(p, q) <= r2:
             assert 1 in set(ids_near(idx, q))
-            if (h[0] - p[0]) ** 2 + (h[1] - p[1]) ** 2 <= r2:
+            if dist2(h, p) <= r2:
                 assert 2 in set(ids_near(idx, q, 2))
 
     def test_block_is_superset_of_range(self):
@@ -752,5 +766,5 @@ class TestNeighborIndex:
             q = (rng.uniform(-150, 150), rng.uniform(-150, 150))
             got = set(ids_near(idx, q))
             for cid, p in pts.items():
-                if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 <= 25.0**2:
+                if dist2(p, q) <= 25.0 * 25.0:
                     assert cid in got

@@ -339,7 +339,7 @@ class TestRunMetrics:
 
         def counting(table, lps_id, client_id):
             nonlocal queued
-            c = sim.clients[int(client_id[1:])]
+            c = sim.clients[client_id]
             if c.arrival_ms > cfg.warmup_ms:
                 grants[lps_id] += 1
                 queued += sim.now > c.arrival_ms
@@ -431,8 +431,14 @@ class TestHolderExclusivity:
         assert sim.arrived == sim.departed == 2 and not sim.clients
 
 
-def _grid_ids(grid):
-    ids = [cid for cell in grid._cells.values() for cid in cell]
+def _grid_ids(grid, clients):
+    """The ids in ``grid``; each entry holds its client's exact position, in that position's cell."""
+    ids = []
+    for key, cell in grid._cells.items():
+        for x, y, cid in cell:
+            assert (x, y) == clients[cid].position, cid
+            assert grid._key((x, y)) == key, cid
+            ids.append(cid)
     assert len(ids) == len(set(ids)), "a client is in one grid twice"
     return set(ids)
 
@@ -461,9 +467,9 @@ def test_free_holder_grids_track_eligible_holders(scheme):
                 assert c.playback_start_ms + sim.plan.cycle_ms >= sim.now, (sim.now, c.id)
         for vid, grid in sim.holders.items():
             want = {c.id for c in sim.clients.values() if c.video_id == vid and c.holder}
-            assert _grid_ids(grid) == want, (sim.now, vid)
+            assert _grid_ids(grid, sim.clients) == want, (sim.now, vid)
         if scheme is SchemeId.DSC_CACHE:
-            assert _grid_ids(sim.index) == set(sim.clients), sim.now
+            assert _grid_ids(sim.index, sim.clients) == set(sim.clients), sim.now
     assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
     assert sim.report.outcome_counts["neighbor"] > 0
 
