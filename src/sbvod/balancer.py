@@ -13,23 +13,7 @@ from dataclasses import dataclass, field
 
 
 class BalancerError(ValueError):
-    pass
-
-
-class EmptyTableError(BalancerError):
-    pass
-
-
-class UnknownLpsError(BalancerError):
-    pass
-
-
-class UnknownClientError(BalancerError):
-    pass
-
-
-class DuplicateClientError(BalancerError):
-    pass
+    """Any bad table, pick or update; the message says which."""
 
 
 @dataclass
@@ -61,7 +45,7 @@ class LpsTable:
         for e in self.entries:
             if e.lps_id == lps_id:
                 return e
-        raise UnknownLpsError(f"no LPS with id {lps_id}")
+        raise BalancerError(f"no LPS with id {lps_id}")
 
 
 def assign_lps(table: LpsTable) -> int:
@@ -71,26 +55,22 @@ def assign_lps(table: LpsTable) -> int:
     when the pick is actually granted.
     """
     if not table.entries:
-        raise EmptyTableError("no LPS entries to assign from")
+        raise BalancerError("no LPS entries to assign from")
     best = min(table.entries, key=lambda e: (len(e.client_ids), e.lps_id))
     return best.lps_id
 
 
-def record_request(table: LpsTable, lps_id: int, client_id: Hashable) -> LpsTable:
+def record_request(table: LpsTable, lps_id: int, client_id: Hashable) -> None:
     """Register ``client_id`` on the given proxy, which raises its count."""
     entry = table.entry(lps_id)
     if client_id in entry.client_ids:
-        raise DuplicateClientError(
-            f"client {client_id!r} already recorded on LPS {lps_id}"
-        )
+        raise BalancerError(f"client {client_id!r} already recorded on LPS {lps_id}")
     entry.client_ids.add(client_id)
-    return table
 
 
-def release_request(table: LpsTable, lps_id: int, client_id: Hashable) -> LpsTable:
+def release_request(table: LpsTable, lps_id: int, client_id: Hashable) -> None:
     """Drop ``client_id`` from the proxy once its first segment finished streaming."""
     entry = table.entry(lps_id)
     if client_id not in entry.client_ids:
-        raise UnknownClientError(f"client {client_id!r} not recorded on LPS {lps_id}")
+        raise BalancerError(f"client {client_id!r} not recorded on LPS {lps_id}")
     entry.client_ids.discard(client_id)
-    return table

@@ -9,9 +9,9 @@ forwarder's RAM pool, or a proxy server picked by the load balancer.
 Strategies are pure. The ``world`` they are handed is the running
 ``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
 ``plan``, ``clients``, ``index`` (under dsc only), ``holders``,
-``lps_table``, ``lps_pools`` and ``por_pool``. They return an
-:class:`AcquisitionOutcome`, and the engine applies it (marking uploads,
-queueing, recording balancer requests).
+``lps_table`` and ``pools`` (each proxy's pool by id, the forwarder's
+under None). They return an :class:`AcquisitionOutcome`, and the engine
+applies it (marking uploads, queueing, recording balancer requests).
 
 Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
 around a point holds every client in range of it, and the 5x5 block around
@@ -256,8 +256,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     ``world`` is the running ``engine.Simulation``; the strategy only reads
     its ``now``, ``cfg``, ``plan``, ``clients``, ``index``, ``holders``,
-    ``lps_table``, ``lps_pools`` and ``por_pool``. Under dsc only, ``index``
-    holds every present client; it is None under the other schemes.
+    ``lps_table`` and ``pools``. Under dsc only, ``index`` holds every
+    present client; it is None under the other schemes.
     ``holders[video_id]`` holds that video's present holders, busy or not
     (the engine's mapping makes an empty grid on a video's first lookup),
     and a holder's ``uploading`` flag alone says it is busy. ``arrival`` is
@@ -302,14 +302,13 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
 
     if scheme is SchemeId.POR_CACHE:
-        kind, pool, lps_id, hops = SourceKind.POR, world.por_pool, None, 2
+        kind, lps_id, hops = SourceKind.POR, None, 2
     elif scheme is SchemeId.PROXY_CACHE:
-        lps_id = _balancer.assign_lps(world.lps_table)
-        kind, pool, hops = SourceKind.LPS, world.lps_pools[lps_id], 3
+        kind, lps_id, hops = SourceKind.LPS, _balancer.assign_lps(world.lps_table), 3
     else:
         raise ValueError(f"unhandled scheme {scheme!r}")
 
-    queue_wait = pool.projected_wait(world.now)
+    queue_wait = world.pools[lps_id].projected_wait(world.now)
     if queue_wait > wait_ms:
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
     return AcquisitionOutcome(

@@ -290,7 +290,7 @@ def load_config(path: str | Path) -> SimConfig:
         first_line[key] = lineno
         ftype = field_types[key]
         try:
-            if ftype == "int" or ftype is int:
+            if ftype == "int":
                 values[key] = int(val)
             else:
                 values[key] = float(val)
@@ -344,17 +344,17 @@ DRAW_BLOCK = 512
 
 
 class BlockDraws:
-    """One substream's values, drawn ``block`` at a time and handed out one by one.
+    """One substream's values, drawn ``DRAW_BLOCK`` at a time and handed out one by one.
 
     ``draw(n)`` returns the stream's next ``n`` values, as
     ``Generator.random`` and ``partial(Generator.exponential, scale)`` do.
     numpy gives a block the same bits as ``n`` one-at-a-time draws from the
-    same generator, so the values do not depend on ``block``. Nothing is
+    same generator, so the values do not depend on the block size. Nothing is
     drawn before the first call of ``random()``, which returns the next value.
     """
 
-    def __init__(self, draw: Callable[[int], np.ndarray], block: int = DRAW_BLOCK):
-        blocks = (draw(block).tolist() for _ in itertools.repeat(None))
+    def __init__(self, draw: Callable[[int], np.ndarray]):
+        blocks = (draw(DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
         self.random: Callable[[], float] = functools.partial(next, itertools.chain.from_iterable(blocks))
 
 

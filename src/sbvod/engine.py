@@ -184,8 +184,9 @@ class Simulation:
 
         self.now = 0
         self._seq = 0
-        # (time_ms, seq, handler, client_id): seq is unique, so handlers are never compared.
-        self._heap: list[tuple[int, int, Callable[[int], None], int]] = []
+        # (time_ms, seq, handler, client): seq is unique, so handlers and clients are
+        # never compared. The arrival event carries None.
+        self._heap: list[tuple[int, int, Callable, ClientRecord | None]] = []
         self.clients: dict[int, ClientRecord] = {}
         # Every present client, for dsc's relay search alone; no other scheme has one.
         self.index = NeighborIndex(cfg.client_range_m) if scheme is SchemeId.DSC_CACHE else None
@@ -197,8 +198,8 @@ class Simulation:
         self.lps_table = balancer.LpsTable(
             [balancer.LpsEntry(i, f"LPS{i}", f"10.0.0.{i}:8554") for i in lps_ids]
         )
-        self.lps_pools = {i: StreamPool(cfg.lps_capacity) for i in lps_ids}
-        self.por_pool = StreamPool(cfg.lps_capacity)
+        # One pool per proxy, and the forwarder's under None, as a PoR outcome's lps_id is.
+        self.pools = {i: StreamPool(cfg.lps_capacity) for i in (None, *lps_ids)}
         self.report = MetricsReport(scheme.value, cfg.seed, {i: 0 for i in lps_ids})
 
         self.horizon_ms = cfg.horizon_ms
@@ -217,9 +218,9 @@ class Simulation:
         theta = 2.0 * math.pi * self._rng_place.random()
         return (r * math.cos(theta), r * math.sin(theta))
 
-    def _schedule(self, time_ms: int, handler: Callable[[int], None], client_id: int = -1) -> None:
+    def _schedule(self, time_ms: int, handler: Callable, client: ClientRecord | None = None) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time_ms, self._seq, handler, client_id))
+        heapq.heappush(self._heap, (time_ms, self._seq, handler, client))
 
     def _trace(self, kind: str, client_id: int, detail: str = "") -> None:
         if self.trace is not None:
@@ -239,22 +240,21 @@ class Simulation:
         """Process one event; returns False once the heap is empty."""
         if not self._heap:
             return False
-        time_ms, _seq, handler, client_id = heapq.heappop(self._heap)
+        time_ms, _seq, handler, client = heapq.heappop(self._heap)
         if time_ms < self.now:
             raise SimulationError("event time went backwards")
         self.now = time_ms
-        handler(client_id)
+        handler(client)
         return True
 
     # -- event handlers ---------------------------------------------------
 
     def _schedule_next_arrival(self, from_ms: int) -> None:
-        gap = int(round(self._rng_arrivals.random()))
-        t = from_ms + max(0, gap)
+        t = from_ms + int(round(self._rng_arrivals.random()))
         if t <= self.horizon_ms:
             self._schedule(t, self._on_arrival)
 
-    def _on_arrival(self, _client_id: int) -> None:
+    def _on_arrival(self, _none: None) -> None:
         self._schedule_next_arrival(from_ms=self.now)
         self.arrived += 1
         cid = self.arrived
@@ -286,7 +286,7 @@ class Simulation:
         if out.source_kind is SourceKind.CHANNEL_SLOT:
             c.state = ClientState.AWAITING_SLOT
             c.playback_start_ms = self.now + out.slot_wait_ms
-            self._schedule(c.playback_start_ms, self._on_slot_start, c.id)
+            self._schedule(c.playback_start_ms, self._on_slot_start, c)
             return
 
         c.state = ClientState.FETCHING_FIRST
@@ -299,44 +299,38 @@ class Simulation:
             if holder.uploading:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
-            self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
+            self._schedule(c.fetch_end_ms, self._on_fetch_complete, c)
             return
 
         # Pool-backed fetches hold their slot from grant to transfer end, and
         # the pool must grant it at the wait the strategy was promised.
-        grant_ms = self._pool(c).reserve(c.id, self.now, c.fetch_end_ms)
+        grant_ms = self.pools[out.lps_id].reserve(c.id, self.now, c.fetch_end_ms)
         if grant_ms != self.now + out.queue_wait_ms:
             raise SimulationError(f"client {c.id} granted a pool slot at {grant_ms}, not as promised")
         if grant_ms == self.now:
             self._grant_stream(c)
         else:
-            self._schedule(grant_ms, self._on_queue_grant, c.id)
-
-    def _pool(self, c: ClientRecord) -> StreamPool:
-        return self.por_pool if c.fetch.lps_id is None else self.lps_pools[c.fetch.lps_id]
+            self._schedule(grant_ms, self._on_queue_grant, c)
 
     def _grant_stream(self, c: ClientRecord) -> None:
         # A queued job's slot was reserved when it arrived.
         if c.fetch.source_kind is SourceKind.LPS:
             balancer.record_request(self.lps_table, c.fetch.lps_id, c.id)
-        self._schedule(c.fetch_end_ms, self._on_fetch_complete, c.id)
+        self._schedule(c.fetch_end_ms, self._on_fetch_complete, c)
 
-    def _on_slot_start(self, client_id: int) -> None:
-        c = self.clients[client_id]
+    def _on_slot_start(self, c: ClientRecord) -> None:
         if c.state is not ClientState.AWAITING_SLOT:
             raise SimulationError(f"client {c.id} hit a slot in state {c.state}")
         self._trace("slot_start", c.id)
         self._begin_playback(c)
 
-    def _on_queue_grant(self, client_id: int) -> None:
-        c = self.clients[client_id]
-        if self._pool(c).pop_pending() != c.id:
+    def _on_queue_grant(self, c: ClientRecord) -> None:
+        if self.pools[c.fetch.lps_id].pop_pending() != c.id:
             raise SimulationError("queue grant out of FIFO order")
         self._trace("queue_grant", c.id)
         self._grant_stream(c)
 
-    def _on_fetch_complete(self, client_id: int) -> None:
-        c = self.clients[client_id]
+    def _on_fetch_complete(self, c: ClientRecord) -> None:
         if c.fetch.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
             holder = self.clients[c.fetch.holder_id]
             if not holder.uploading:
@@ -354,10 +348,9 @@ class Simulation:
             self.holders[c.video_id].add(c.id, c.position)
         # One cycle of K segments of duration D is the whole video; the
         # client leaves as its playback ends.
-        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_departure, c.id)
+        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_departure, c)
 
-    def _on_departure(self, client_id: int) -> None:
-        c = self.clients[client_id]
+    def _on_departure(self, c: ClientRecord) -> None:
         if c.uploading:
             raise SimulationError(f"holder {c.id} departed mid-upload")
         if self.index is not None:

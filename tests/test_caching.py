@@ -39,10 +39,11 @@ _FETCH_5_MIN = 8_334
 
 
 def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
-               por_pool=None, lps_pools=None, range_m=25.0, scheme=SchemeId.NO_CACHE):
+               pools=None, range_m=25.0, scheme=SchemeId.NO_CACHE):
     """A fresh ``scheme`` run at ``now_ms`` holding ``clients``: what the engine hands a strategy.
 
     ``lps_counts`` maps proxy ids 1..n to the requests already on each.
+    ``pools`` replaces the run's pools it names (the forwarder's under None).
     Only a dsc run has the all-client index, so only its world fills one.
     """
     cfg = SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
@@ -60,10 +61,7 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
     for lps_id, count in (lps_counts or {}).items():
         for k in range(count):
             record_request(world.lps_table, lps_id, f"seed{lps_id}-{k}")
-    if por_pool is not None:
-        world.por_pool = por_pool
-    if lps_pools is not None:
-        world.lps_pools = lps_pools
+    world.pools.update(pools or {})
     return world
 
 
@@ -570,7 +568,7 @@ class TestRelaySearchCost:
 class TestPoR:
     def test_idle_pool_two_hops(self):
         newcomer = client(1)
-        world = make_world([newcomer], por_pool=StreamPool(20))
+        world = make_world([newcomer], pools={None: StreamPool(20)})
         out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.startup_delay_ms == 40
@@ -581,7 +579,7 @@ class TestPoR:
         now = 5 * MIN
         pool.reserve(0, now, now + 5000)
         newcomer = client(1)
-        world = make_world([newcomer], now_ms=now, por_pool=pool)
+        world = make_world([newcomer], now_ms=now, pools={None: pool})
         out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.source_kind is SourceKind.POR
         assert out.queue_wait_ms == 5000
@@ -593,7 +591,7 @@ class TestPoR:
         wait = 7 * MIN
         pool.reserve(0, now, now + wait + 1000)
         newcomer = client(1)
-        world = make_world([newcomer], now_ms=now, por_pool=pool)
+        world = make_world([newcomer], now_ms=now, pools={None: pool})
         out = acquire(SchemeId.POR_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY
@@ -621,7 +619,7 @@ class TestProxy:
         pools[1].reserve(0, now, now + wait + 2000)
         pools[2].reserve(0, now, now + wait + 2000)
         newcomer = client(1)
-        world = make_world([newcomer], now_ms=now, lps_counts={1: 0, 2: 0}, lps_pools=pools)
+        world = make_world([newcomer], now_ms=now, lps_counts={1: 0, 2: 0}, pools=pools)
         out = acquire(SchemeId.PROXY_CACHE, newcomer, world)
         assert out.failed
         assert out.startup_delay_ms == wait + 1 * LATENCY

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sbvod import domain
 from sbvod.domain import (
     _MAX_CHANNELS,
     MS_PER_MINUTE,
@@ -309,7 +310,7 @@ class TestRandomSource:
         )
 
     @pytest.mark.parametrize("scale", [6000.0, 2.0**1000])
-    def test_block_helper_hands_out_scalar_draws_across_refills(self, scale):
+    def test_block_helper_hands_out_scalar_draws_across_refills(self, scale, monkeypatch):
         # Twenty values from blocks of three: six refills, the last block part-used.
         src = RandomSource(7)
         uniform, ref_uniform = src.substream("placement"), src.substream("placement")
@@ -320,8 +321,9 @@ class TestRandomSource:
             drawn.append(n)
             return uniform.random(n)
 
-        block_uniform = BlockDraws(draw_uniform, block=3)
-        block_gaps = BlockDraws(partial(gaps.exponential, scale), block=3)
+        monkeypatch.setattr(domain, "DRAW_BLOCK", 3)
+        block_uniform = BlockDraws(draw_uniform)
+        block_gaps = BlockDraws(partial(gaps.exponential, scale))
         assert drawn == []  # nothing is drawn before the first value is asked for
         for _ in range(20):
             assert block_uniform.random().hex() == ref_uniform.random().hex()

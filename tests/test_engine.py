@@ -457,9 +457,9 @@ def test_free_holder_grids_track_eligible_holders(scheme):
     sim = Simulation(cfg, scheme)
     sim._schedule_next_arrival(from_ms=0)
     while sim._heap:
-        _t, _seq, handler, cid = sim._heap[0]
+        _t, _seq, handler, c = sim._heap[0]
         if handler.__func__ is Simulation._on_departure:
-            assert not sim.clients[cid].uploading, (sim.now, cid)
+            assert not c.uploading, (sim.now, c.id)
         sim.step()
         # A client leaves as its playback ends, not later.
         for c in sim.clients.values():
@@ -505,10 +505,6 @@ _BUSY_CFG = SimConfig(arrival_rate_per_min=10.0, lps_capacity=2, horizon_minutes
                       warmup_minutes=0.0, seed=3)
 
 
-def _pools(sim):
-    return [sim.por_pool, *sim.lps_pools.values()]
-
-
 def _run_state(sim):
     """Everything of a run that a strategy could write to, as plain values."""
     grids = dict(sim.holders)
@@ -517,7 +513,7 @@ def _run_state(sim):
     return (
         {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
         {vid: {key: list(cell) for key, cell in grid._cells.items()} for vid, grid in grids.items()},
-        [(list(pool._ends), list(pool._pending)) for pool in _pools(sim)],
+        [(list(pool._ends), list(pool._pending)) for pool in sim.pools.values()],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
         (sim.now, sim._seq, len(sim._heap)),
     )
@@ -528,13 +524,29 @@ def _busy(sim):
     if len(sim.clients) < 10:
         return False
     if sim.scheme is SchemeId.POR_CACHE:
-        return bool(sim.por_pool._pending)
+        return bool(sim.pools[None]._pending)
     if sim.scheme is SchemeId.PROXY_CACHE:
-        return (any(pool._pending for pool in sim.lps_pools.values())
+        return (any(pool._pending for i, pool in sim.pools.items() if i is not None)
                 and any(e.request_count for e in sim.lps_table.entries))
     if sim.scheme is SchemeId.NO_CACHE:
         return True
     return any(c.uploading for c in sim.clients.values())
+
+
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_each_present_client_has_one_pending_event_carrying_its_record(scheme):
+    # Handlers take the record their event carries instead of looking it up,
+    # so after every event each present client, and no other, must have
+    # exactly one event pending, and it must carry the live record.
+    sim = _started(dataclasses.replace(_BUSY_CFG, horizon_minutes=30.0), scheme)
+    while sim.step():
+        carried = [c for _t, _seq, _handler, c in sim._heap if c is not None]
+        ids = [c.id for c in carried]
+        assert len(ids) == len(set(ids)), (sim.now, "a client has two pending events")
+        assert set(ids) == set(sim.clients), sim.now
+        for c in carried:
+            assert sim.clients[c.id] is c, (sim.now, c.id)
+    assert sim.arrived > 100
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))
@@ -580,8 +592,8 @@ class TestInvariantFaults:
 
     def test_queued_jobs_swapped(self):
         sim = _step_until(_started(_BUSY_CFG, SchemeId.POR_CACHE),
-                          lambda s: len(s.por_pool._pending) >= 2)
-        pending = sim.por_pool._pending
+                          lambda s: len(s.pools[None]._pending) >= 2)
+        pending = sim.pools[None]._pending
         pending[0], pending[1] = pending[1], pending[0]
         self._raises(sim, "queue grant out of FIFO order")
 
