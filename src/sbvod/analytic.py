@@ -118,10 +118,18 @@ def place_cache(
     return placement
 
 
+def _served_weight(videos, served) -> float:
+    """Request share of the items ``served(video_id, q_index)`` accepts.
+
+    The rounded shares of a whole catalog may sum a hair past 1, so the
+    share stops at 1.
+    """
+    return min(1.0, math.fsum(w for v, q, w in weighted_items(videos) if served(v.id, q.q_index)))
+
+
 def hit_ratio(videos, placement: PlacementMap) -> float:
     """Probability that an arriving request finds its first segment cached."""
-    cached = (w for v, q, w in weighted_items(videos) if placement.is_cached(v.id, q.q_index))
-    return sum(cached, 0.0)
+    return _served_weight(videos, placement.is_cached)
 
 
 # Loss-model figures of a report that opens no dedicated stream.
@@ -145,9 +153,9 @@ def _residual_traffic(videos, served, lambda_per_sec: float, bandwidth_bits: flo
     if mean_service_minutes <= 0:
         raise ValueError("mean_service_minutes must be positive")
 
-    served_weight = sum((w for v, q, w in weighted_items(videos) if served(v.id, q.q_index)), 0.0)
+    served_weight = _served_weight(videos, served)
     lam = lambda_per_sec * (1.0 - served_weight)
-    rest_weight_rate = sum(
+    rest_weight_rate = math.fsum(
         w * q.stream_rate_bps for v, q, w in weighted_items(videos) if not served(v.id, q.q_index)
     )
     if lam <= 0.0 or rest_weight_rate <= 0.0:
@@ -223,7 +231,7 @@ def broadcast_reserved_bits(videos, placement: PlacementMap) -> float:
         if (not placement.is_cached(v.id, q.q_index))
         and placement.is_broadcast(v.id, q.q_index)
     )
-    return sum(replayed, 0.0)
+    return math.fsum(replayed)
 
 
 def select_broadcast_videos(

@@ -330,7 +330,7 @@ def on_playback_started(scheme: SchemeId, cfg: SimConfig, rng) -> bool:
     if scheme is SchemeId.ALL_CACHE:
         return True
     if scheme is SchemeId.RANDOM_CACHE:
-        return bool(rng.random() < cfg.random_cache_prob)
+        return rng.random() < cfg.random_cache_prob
     if scheme is SchemeId.DSC_CACHE:
-        return bool(rng.random() < DSC_CACHE_PROB)
+        return rng.random() < DSC_CACHE_PROB
     return False

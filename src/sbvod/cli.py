@@ -161,13 +161,16 @@ def _t975(df: int) -> float:
 
 def _mean(values: list[float | None]) -> float | None:
     kept = [v for v in values if v is not None]
-    return sum(kept) / len(kept) if kept else None
+    return math.fsum(kept) / len(kept) if kept else None
 
 
 def _agg_row(spec: ExperimentSpec, cfg: SimConfig, reports: list[MetricsReport]) -> str:
     means = [r.mean_startup_delay_ms for r in reports if r.mean_startup_delay_ms is not None]
     if len(means) >= 2:
-        ci = _t975(len(means) - 1) * statistics.stdev(means) / math.sqrt(len(means))
+        # stdev() differs by version (3.10 roots the rounded variance, 3.11+
+        # rounds the exact root); variance() and math.sqrt() do not.
+        sd = math.sqrt(statistics.variance(means))
+        ci = _t975(len(means) - 1) * sd / math.sqrt(len(means))
     else:
         ci = 0.0 if means else None
     stats = [ci if value is None else _mean([value(r) for r in reports]) for _name, value in _STATS]
@@ -185,7 +188,7 @@ def default_workers() -> int:
 
     ``taskset -c 0 sbvod experiment ...`` therefore makes every run in
     the ``sbvod`` process itself. The cap keeps a large host from starting
-    dozens of ~33 MB workers; no host above two CPUs has been measured.
+    dozens of ~23 MB workers; no host above two CPUs has been measured.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     return min(cpus, 8)
@@ -426,7 +429,7 @@ def _cmd_analyze(ns: argparse.Namespace) -> int:
     _check_analyze_flags(ns)
     cfg = _load_base_config(ns.config, None)
     videos = catalog_from_config(cfg)
-    total_bits = sum(q.size_bits for v in videos for q in v.qualities)
+    total_bits = math.fsum(q.size_bits for v in videos for q in v.qualities)
     cache_bits = (
         ns.cache_mbit * BITS_PER_MEGABIT if ns.cache_mbit is not None else total_bits / 2.0
     )

@@ -7,16 +7,11 @@ a component starts working with them.
 
 from __future__ import annotations
 
-import functools
 import hashlib
-import itertools
 import math
+import random
 from dataclasses import dataclass, fields as _dc_fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
-
-if TYPE_CHECKING:
-    import numpy as np
 
 MS_PER_MINUTE = 60_000
 BITS_PER_MEGABIT = 1_000_000
@@ -25,12 +20,13 @@ BITS_PER_MEGABIT = 1_000_000
 _PROB_TOL = 1e-9
 
 # Float limits that keep a validated run's arithmetic finite and exact.
-# numpy's exponential draw is below 64 means (its ziggurat tail adds at
-# most 53 ln 2 to an edge of 7.7), so a mean gap up to 2**1017 ms stays
-# finite. Grid cell keys stay exact while lf_radius / range is at most
-# 2**52. A relay measures from a via in the client's 3x3 cell block to
-# holders in its 5x5 block, under 4 cells per axis, so squared distances
-# stay below 32 * cell**2, finite up to a range of 2**509 m. A mean delay
+# An arrival gap is drawn by inversion, -log(1 - u) means, with u at most
+# 1 - 2**-53, so a gap is at most 53 ln 2 (about 36.74) means, under 2**6:
+# a mean gap up to 2**1017 ms keeps every gap below 2**1023, finite. Grid
+# cell keys stay exact while lf_radius / range is at most 2**52. A relay
+# measures from a via in the client's 3x3 cell block to holders in its
+# 5x5 block, under 4 cells per axis, so squared distances stay below
+# 32 * cell**2, finite up to a range of 2**509 m. A mean delay
 # past the float range raises, so latencies stop at 2**53 ms, far inside it.
 # Minute fields become ms that meet floats (buffer bits, video sizes, mean
 # delays), so m * 60000 must convert to a float: 60000 < 2**16, so
@@ -123,7 +119,7 @@ class VideoSpec:
             if q.q_index in seen:
                 raise ValueError(f"duplicate q_index {q.q_index}")
             seen.add(q.q_index)
-        total = sum(q.request_prob for q in self.qualities)
+        total = math.fsum(q.request_prob for q in self.qualities)
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(
                 f"quality request probabilities must sum to 1 (got {total!r})"
@@ -321,46 +317,26 @@ def derive_seed(base_seed: int, *labels: object) -> int:
 class RandomSource:
     """Deterministic random source with independent labelled sub-streams.
 
-    Each ``substream(*labels)`` call returns a fresh PCG64 generator seeded
-    from :func:`derive_seed`, so components can draw without perturbing one
-    another and replications can be given disjoint streams. numpy is
-    imported by the first ``substream`` call, so a process that never
-    draws (``sbvod analyze``, ``--help``, a usage error) never loads it.
+    Each ``substream(*labels)`` call returns a fresh MT19937 generator
+    (``random.Random``) seeded from :func:`derive_seed`, so components can
+    draw without perturbing one another and replications can be given
+    disjoint streams. Python keeps ``random()``'s sequence for an int seed
+    the same on every version, so a run's bytes do not depend on it.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    def substream(self, *labels: object) -> np.random.Generator:
-        import numpy as np
-        return np.random.Generator(np.random.PCG64(derive_seed(self.seed, *labels)))
+    def substream(self, *labels: object) -> random.Random:
+        return random.Random(derive_seed(self.seed, *labels))
 
     def __repr__(self):
-        return f"RandomSource(seed={self.seed}, generator=PCG64)"
-
-
-# Values a BlockDraws hands out from one block before it draws the next.
-DRAW_BLOCK = 512
-
-
-class BlockDraws:
-    """One substream's values, drawn ``DRAW_BLOCK`` at a time and handed out one by one.
-
-    ``draw(n)`` returns the stream's next ``n`` values, as
-    ``Generator.random`` and ``partial(Generator.exponential, scale)`` do.
-    numpy gives a block the same bits as ``n`` one-at-a-time draws from the
-    same generator, so the values do not depend on the block size. Nothing is
-    drawn before the first call of ``random()``, which returns the next value.
-    """
-
-    def __init__(self, draw: Callable[[int], np.ndarray]):
-        blocks = (draw(DRAW_BLOCK).tolist() for _ in itertools.repeat(None))
-        self.random: Callable[[], float] = functools.partial(next, itertools.chain.from_iterable(blocks))
+        return f"RandomSource(seed={self.seed}, generator=MT19937)"
 
 
 def zipf_popularity(n: int) -> list[float]:
     """Request shares of videos 1..n on a Zipf-like 1/rank curve (Breslau et al. 1999)."""
-    harmonic = sum(1.0 / k for k in range(1, n + 1))
+    harmonic = math.fsum(1.0 / k for k in range(1, n + 1))
     return [(1.0 / k) / harmonic for k in range(1, n + 1)]
 
 

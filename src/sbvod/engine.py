@@ -28,7 +28,6 @@ from . import balancer, caching
 from .caching import AcquisitionOutcome, NeighborIndex, SchemeId, SourceKind
 from .domain import (
     MS_PER_MINUTE,
-    BlockDraws,
     RandomSource,
     SimConfig,
     validate_config,
@@ -171,16 +170,16 @@ class Simulation:
         # Every video has the config's length and channel count: one timetable.
         self.plan = build_plan(cfg.video_length_minutes, cfg.channels)
         popularity = zipf_popularity(cfg.num_videos)
-        total = sum(popularity)
+        total = math.fsum(popularity)
         self._video_edges = list(itertools.accumulate(p / total for p in popularity))
         self._video_edges[-1] = 1.0
 
         source = RandomSource(cfg.seed)
-        gap_scale = MS_PER_MINUTE / cfg.arrival_rate_per_min
-        self._rng_arrivals = BlockDraws(partial(source.substream("arrivals").exponential, gap_scale))
-        self._rng_place = BlockDraws(source.substream("placement").random)
-        self._rng_video = BlockDraws(source.substream("video-choice").random)
-        self._rng_cache = BlockDraws(source.substream("cache-retention").random)
+        self._gap_scale = MS_PER_MINUTE / cfg.arrival_rate_per_min
+        self._rng_arrivals = source.substream("arrivals")
+        self._rng_place = source.substream("placement")
+        self._rng_video = source.substream("video-choice")
+        self._rng_cache = source.substream("cache-retention")
 
         self.now = 0
         self._seq = 0
@@ -250,7 +249,9 @@ class Simulation:
     # -- event handlers ---------------------------------------------------
 
     def _schedule_next_arrival(self, from_ms: int) -> None:
-        t = from_ms + int(round(self._rng_arrivals.random()))
+        # An exponential gap by inversion: random() is the one draw whose
+        # sequence Python keeps the same on every version.
+        t = from_ms + int(round(self._gap_scale * -math.log(1.0 - self._rng_arrivals.random())))
         if t <= self.horizon_ms:
             self._schedule(t, self._on_arrival)
 

@@ -10,6 +10,7 @@ import dataclasses
 import itertools
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -27,7 +28,7 @@ from sbvod.analytic import (
     select_broadcast_videos,
     weighted_items,
 )
-from sbvod.domain import QualityLevel, VideoSpec
+from sbvod.domain import QualityLevel, SimConfig, VideoSpec, catalog_from_config, zipf_popularity
 
 
 def erlang_b_oracle(load, servers):
@@ -180,8 +181,8 @@ class TestHitRatio:
         assert hit_ratio(videos, nothing) == 0.0
 
     def test_empty_sums_are_float_zeros(self):
-        # sum() of an empty generator is the int 0; a report field that
-        # is a float must read 0.0 when nothing is cached or broadcast.
+        # A report field that is a float must read 0.0, not the int 0,
+        # when nothing is cached or broadcast.
         videos = make_videos([0.6, 0.4])
         nothing = place_cache(videos, 0.0)
         assert type(hit_ratio(videos, nothing)) is float
@@ -189,6 +190,20 @@ class TestHitRatio:
             report = analysis(videos, nothing, 0.1, 54e6, 60.0)
             assert type(report.hit_ratio) is float
             assert type(report.broadcast_bandwidth) is float
+
+    def test_whole_zipf_catalog_cached_is_at_most_one(self):
+        # The rounded 1/rank shares of some catalogs (1,674 videos is the
+        # first) sum a hair past 1. Stand-ins carry the fields hit_ratio
+        # reads, since building 2,000 real catalogs takes seconds.
+        quality = catalog_from_config(SimConfig())[0].qualities
+        everything = PlacementMap(cached={(k, 1): True for k in range(1, 2001)})
+        for n in range(1, 2001):
+            videos = [SimpleNamespace(id=k, popularity=p, qualities=quality)
+                      for k, p in enumerate(zipf_popularity(n), start=1)]
+            assert hit_ratio(videos, everything) <= 1.0, n
+        report = dedicated_stream_analysis(catalog_from_config(SimConfig(num_videos=1674)),
+                                           everything, 0.1, 54e6, 60.0)
+        assert report.hit_ratio == 1.0
 
     def test_partial(self):
         videos = make_videos([0.5, 0.3, 0.2], sizes=[10.0, 10.0, 10.0])

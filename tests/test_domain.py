@@ -2,18 +2,16 @@
 
 import dataclasses
 import math
-from functools import partial
+import random
 
-import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from sbvod import domain
 from sbvod.domain import (
     _MAX_CHANNELS,
+    _MAX_MEAN_GAP_MS,
     MS_PER_MINUTE,
-    BlockDraws,
     ConfigError,
     QualityLevel,
     RandomSource,
@@ -285,53 +283,35 @@ class TestRandomSource:
         assert derive_seed(1, "arrivals") != derive_seed(2, "arrivals")
         assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
 
+    @pytest.mark.parametrize("label", ["arrivals", "placement", "video-choice", "cache-retention"])
+    def test_substream_is_mt19937_seeded_by_derive_seed(self, label):
+        n = 10_000
+        got, want = RandomSource(7).substream(label), random.Random(derive_seed(7, label))
+        assert [got.random().hex() for _ in range(n)] == [want.random().hex() for _ in range(n)]
+
     def test_substream_reproducibility(self):
-        a = RandomSource(42).substream("arrivals").random(16)
-        b = RandomSource(42).substream("arrivals").random(16)
-        assert np.array_equal(a, b)
+        a = RandomSource(42).substream("arrivals")
+        b = RandomSource(42).substream("arrivals")
+        assert [a.random() for _ in range(16)] == [b.random() for _ in range(16)]
 
     def test_substreams_are_independent_of_each_other(self):
         src = RandomSource(42)
-        a = src.substream("arrivals").random(16)
-        b = src.substream("video-choice").random(16)
-        assert not np.array_equal(a, b)
+        a = src.substream("arrivals")
+        b = src.substream("video-choice")
+        assert [a.random() for _ in range(16)] != [b.random() for _ in range(16)]
 
-    @pytest.mark.parametrize("label", ["arrivals", "placement", "video-choice", "cache-retention"])
-    def test_block_draws_equal_scalar_draws(self, label):
-        # A block draw may replace the engine's one-at-a-time draws only if
-        # it yields the same bits from the same substream.
-        n = 10_000
-        scale = MS_PER_MINUTE / SimConfig().arrival_rate_per_min
-        block, scalar = RandomSource(7).substream(label), RandomSource(7).substream(label)
-        assert block.random(n).tobytes() == np.array([scalar.random() for _ in range(n)]).tobytes()
-        assert (
-            block.exponential(scale, n).tobytes()
-            == np.array([scalar.exponential(scale) for _ in range(n)]).tobytes()
-        )
-
-    @pytest.mark.parametrize("scale", [6000.0, 2.0**1000])
-    def test_block_helper_hands_out_scalar_draws_across_refills(self, scale, monkeypatch):
-        # Twenty values from blocks of three: six refills, the last block part-used.
-        src = RandomSource(7)
-        uniform, ref_uniform = src.substream("placement"), src.substream("placement")
-        gaps, ref_gaps = src.substream("arrivals"), src.substream("arrivals")
-        drawn = []
-
-        def draw_uniform(n):
-            drawn.append(n)
-            return uniform.random(n)
-
-        monkeypatch.setattr(domain, "DRAW_BLOCK", 3)
-        block_uniform = BlockDraws(draw_uniform)
-        block_gaps = BlockDraws(partial(gaps.exponential, scale))
-        assert drawn == []  # nothing is drawn before the first value is asked for
-        for _ in range(20):
-            assert block_uniform.random().hex() == ref_uniform.random().hex()
-            assert block_gaps.random().hex() == ref_gaps.exponential(scale).hex()
-        assert drawn == [3] * 7
+    def test_largest_inversion_draw_at_the_largest_mean_gap_is_finite(self):
+        # random() stops at 1 - 2**-53, so the engine's inverted gap stops
+        # at 53 ln 2 means; at the largest mean gap validation accepts,
+        # that is still a finite float.
+        u = 1.0 - 2.0**-53
+        assert u < 1.0 and math.nextafter(u, 2.0) == 1.0
+        gap = _MAX_MEAN_GAP_MS * -math.log(1.0 - u)
+        assert gap == pytest.approx(53 * math.log(2) * _MAX_MEAN_GAP_MS)
+        assert math.isfinite(gap)
 
     def test_repr_names_generator(self):
-        assert "PCG64" in repr(RandomSource(1))
+        assert "MT19937" in repr(RandomSource(1))
 
 
 class TestCatalog:

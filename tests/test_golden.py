@@ -1,27 +1,27 @@
 """Fixed-seed outputs pinned by sha256 digest.
 
-Every digest below was recorded from the code before the slot, loss and
-event-heap paths were merged. A refactor that is meant to keep behaviour
-must keep every byte of these outputs: the six-scheme sweep CSV, the
-single-run report and CSV, one event trace per scheme, and the analytic
-report on each of its branches. When a change is meant to alter an
-output, record the new digest here and say why in CHANGES.md. The
-``experiment-csv`` and ``capacity-reports`` digests were re-recorded when
-``ci95_ms`` took the Student-t quantile and empty report sums became 0.0;
-``analyze-all-cached`` and ``analyze-all-broadcast`` when ``analyze``
-began printing runs of consecutive items as ``vAqQ-vBqQ``.
-``trace-block-crossing`` was recorded before the engine drew its random
-values in blocks: its runs draw over 1,800 values from every substream.
-The seven ``trace-*`` digests were re-recorded when departure began to
-fire at playback end, which drops every ``playback_end`` line and may move
-a departure earlier among the events of its ms.
+A refactor that is meant to keep behaviour must keep every byte of these
+outputs: the six-scheme sweep CSV, the single-run report and CSV, one
+event trace per scheme, a long two-scheme trace, and the analytic report
+on each of its branches. When a change is meant to alter an output,
+record the new digest here and say why in CHANGES.md.
+
+Every digest was last re-recorded when each random substream became one
+stdlib MT19937 generator (``random.Random``) in place of a PCG64 one, and
+float sums became ``math.fsum``: Python keeps ``random()``'s sequence for
+an int seed, and an exactly rounded sum, the same on every version, so
+these digests hold on Python 3.10 to 3.13 alike.
+
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
-in the format of ``RECORDED``.
+in the format of ``RECORDED``; with ``--check`` it prints each label whose
+digest moved and exits 1 if any did. Neither needs pytest.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import sys
 import tempfile
 from pathlib import Path
 
@@ -46,9 +46,9 @@ _TRACE_CFG = SimConfig(
     warmup_minutes=5.0, seed=3,
 )
 
-# About 1,850 arrivals: every substream the two traced schemes use hands
-# out several blocks of the engine's block draws.
-_BLOCK_CFG = SimConfig(
+# About 1,850 arrivals over three simulated hours: the traces pin each
+# substream the two schemes draw from far past its first values.
+_LONG_CFG = SimConfig(
     num_videos=3, arrival_rate_per_min=10.0, horizon_minutes=180.0, warmup_minutes=5.0, seed=3,
 )
 
@@ -62,21 +62,21 @@ _ANALYZE_CASES = (
 )
 
 RECORDED = {
-    "experiment-csv": "8fe5d6388c755a1735c211db0c0ddb34e2bf2c81181b3c3a0bda13d7a15ee363",
-    "simulate-text": "4457b3730199e19b0e42eb0af18dad61c7af9d82a79ccaf7d1d385acbf014063",
-    "simulate-csv": "94216345c85b202dc0cc6dbde96271d5dbf55afe5adc3f59912ebde8fcdf87c9",
-    "trace-no-cache": "505b7669d71daaa5111ae3b05432c6009bb1a63d1a6842cca302284e164f5023",
-    "trace-all-cache": "e60227fadd2cfe9aa455637f3485a39d244117750111f6321b8901983ba8ba24",
-    "trace-random-cache": "61c374c26b39df1b1b12d0f7c8277e262435df4cb1f57652310756794a6d15da",
-    "trace-dsc-cache": "fda79797bb57c18ad09c40eb2be0ce645580308239f9029b419838be3dd0ab2f",
-    "trace-por-cache": "e5dd6d581275196328604f743e39c573c8331accc4f29a242cb892373a8b2883",
-    "trace-proxy-cache": "d06919c69409f51377aea582ce8f2148acfd5431371eb444ec0c0ba443f064db",
+    "experiment-csv": "a5013da5ff5df424fd41634fe71d382d9744c3d8f7a398f13530334dcda0d008",
+    "simulate-text": "a10d33cf3b883a5a9b7d5e39c1470cec061c468807a7cb2df2471a3415263f8a",
+    "simulate-csv": "95513a6f442574cb438469c004593bb33dc506636eb8787094b62c8366a0483d",
+    "trace-no-cache": "9cd3e16eae49ec2245d9db2362ab0bffca09ed46193695d3e76f19fbe410831b",
+    "trace-all-cache": "f9e59ed1a18fa32300029356044541d2a6d6ff812c1935d73609a85245f0de14",
+    "trace-random-cache": "774364f0d7eb9bcf0ca6c93aafefe83cb005f70611289fb792adba0ec3f21190",
+    "trace-dsc-cache": "b17583bc4b491f40a4211cdf980923b979863e2d1a931f6615204efa88b3fe45",
+    "trace-por-cache": "bf5f4488201cccc1ef57243fd12ea063e5ce0ce7a80d522a72ed0658f2c4c90f",
+    "trace-proxy-cache": "c29c4347481e6e6df61fd131e14c79c34c6a7166b6aaa18947b6956d2ea56d88",
     "analyze": "78ad8aec8975567e649446f899b2ab25358201d560b203a31d45058013676027",
     "analyze-reserved": "0f23aee57f6e8cb9273ede45181df2c44626fdaa5b2c911bed8b5b67bfa997d8",
     "analyze-all-cached": "ced58441c2fc0ea50f86ae09567be37c528adc95758269c447dd46fb205211f1",
     "analyze-all-broadcast": "ee4cd875bd0dd96077728b0fb369d9d6a165fbda389d416b4e62ca17aa7dc9c4",
-    "capacity-reports": "5294fc4c398ae3eb5c2a487d4f9fa2f089912dda42daf980023e919525645fea",
-    "trace-block-crossing": "6184b4fb17702c32bf75e4f68f29eb16c97c4aa98dda3783dd007d4bd96295c0",
+    "capacity-reports": "ec6f814970a218a25ea0887517065e82630fb039c5f842b87b07bac862f215b6",
+    "trace-long-run": "f9bb58eebc5b6c369afdac9dd3c3774313b6cd1b0921f34c950ae7f011dc9441",
 }
 
 
@@ -134,8 +134,8 @@ def golden_digests(tmp_path) -> dict[str, str]:
 
     traces = io.StringIO()
     for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE):
-        run_simulation(_BLOCK_CFG, scheme, trace=traces)
-    out["trace-block-crossing"] = _sha(traces.getvalue())
+        run_simulation(_LONG_CFG, scheme, trace=traces)
+    out["trace-long-run"] = _sha(traces.getvalue())
     return out
 
 
@@ -144,8 +144,17 @@ def test_outputs_match_recorded_digests(tmp_path):
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print or check the golden digests.")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1, naming each label, if any digest moved from RECORDED")
+    args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         digests = golden_digests(Path(tmp))
+    if args.check:
+        moved = [label for label in {**RECORDED, **digests} if digests.get(label) != RECORDED.get(label)]
+        for label in moved:
+            print(f"{label}: digest moved", file=sys.stderr)
+        sys.exit(1 if moved else 0)
     print("RECORDED = {")
     for label, digest in digests.items():
         print(f'    "{label}": "{digest}",')
