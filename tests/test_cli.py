@@ -450,19 +450,38 @@ def _fresh_python(script: str) -> str:
 
 
 class TestColdStart:
-    def test_a_run_and_a_pooled_sweep_load_only_the_standard_library(self, tmp_path):
+    """sbvod runs on the standard library alone: no command and no pool worker loads numpy."""
+
+    def test_commands_that_draw_nothing_never_load_numpy(self, tmp_path):
         out = _fresh_python(f"""
             import contextlib, io, sys
             before = set(sys.modules)
             import sbvod
             from sbvod import cli
+            assert "numpy" not in sys.modules, "import sbvod"
+            for argv, code in ((["analyze"], 0), (["analyze", "--reserved-mbps", "-3"], 2),
+                               (["simulate", "--config", {str(tmp_path)!r}], 2)):
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    assert cli.main(argv) == code, argv
+                assert "numpy" not in sys.modules, argv
+            report = sbvod.run_simulation(sbvod.SimConfig(horizon_minutes=20.0, warmup_minutes=5.0),
+                                          sbvod.SchemeId.DSC_CACHE)
+            assert "numpy" not in sys.modules, "run_simulation"
+            loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
+            outside = sorted(loaded - sys.stdlib_module_names - {{"sbvod"}})
+            assert not outside, outside
+            print(repr(report))
+        """)
+        here = run_simulation(SimConfig(horizon_minutes=20.0, warmup_minutes=5.0), SchemeId.DSC_CACHE)
+        assert out == repr(here) + "\n"
+
+    def test_workers_forked_from_a_numpy_free_parent_write_the_same_csv(self, tmp_path):
+        _fresh_python(f"""
+            import sys
+            before = set(sys.modules)
+            from sbvod import cli
             from sbvod.caching import SchemeId
             from sbvod.domain import SimConfig
-
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(["analyze"]) == 0
-            report = sbvod.run_simulation(SimConfig(horizon_minutes=20.0, warmup_minutes=5.0),
-                                          SchemeId.DSC_CACHE)
 
             def csv_at(workers, name):
                 cli.default_workers = lambda: workers
@@ -473,15 +492,16 @@ class TestColdStart:
                     out_path={str(tmp_path)!r} + "/" + name)
                 return cli.run_experiment(spec).read_bytes()
 
-            assert csv_at(2, "two.csv") == csv_at(1, "one.csv")
+            two = csv_at(2, "two.csv")
+            assert "numpy" not in sys.modules, "the pooled run loaded numpy in the parent"
+            one = csv_at(1, "one.csv")
+            assert "numpy" not in sys.modules, "the serial run loaded numpy"
+            assert one == two
             # __mp_main__ is the name multiprocessing gives __main__ in its pool.
             loaded = {{name.partition(".")[0] for name in set(sys.modules) - before}}
             outside = sorted(loaded - sys.stdlib_module_names - {{"sbvod", "__mp_main__"}})
             assert not outside, outside
-            print(repr(report))
         """)
-        here = run_simulation(SimConfig(horizon_minutes=20.0, warmup_minutes=5.0), SchemeId.DSC_CACHE)
-        assert out == repr(here) + "\n"
 
 
 def _t975_oracle(df: int) -> float:
