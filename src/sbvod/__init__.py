@@ -21,15 +21,11 @@ from .domain import (
     catalog_from_config,
     derive_seed,
     load_config,
+    max_channels,
     validate_config,
 )
 from .engine import MetricsReport, Simulation, SimulationError, run_simulation
-from .sb_scheduler import (
-    BroadcastPlan,
-    build_plan,
-    max_channels,
-    segment_duration_ms,
-)
+from .sb_scheduler import BroadcastPlan
 
 __version__ = "0.1.0"
 
@@ -52,7 +48,6 @@ __all__ = [
     "VideoSpec",
     "assign_lps",
     "broadcast_analysis",
-    "build_plan",
     "catalog_from_config",
     "dedicated_stream_analysis",
     "derive_seed",
@@ -65,7 +60,6 @@ __all__ = [
     "record_request",
     "release_request",
     "run_simulation",
-    "segment_duration_ms",
     "select_broadcast_videos",
     "validate_config",
     "__version__",

@@ -26,25 +26,26 @@ _FLOOR_EPS = 1e-9
 class PlacementMap:
     """Which items are cached at the proxies and which stay on broadcast.
 
-    Keys are ``(video_id, q_index)`` pairs. ``lps_channels`` records how
-    many proxy channels replay each broadcast-selected item; it is set by
-    :func:`select_broadcast_videos` and defaults to 1.
+    ``cached`` and ``broadcast`` are sets of ``(video_id, q_index)`` keys;
+    an item is placed exactly when its key is in the set. ``lps_channels``
+    records how many proxy channels replay each broadcast-selected item; it
+    is set by :func:`select_broadcast_videos` and defaults to 1.
     """
 
-    cached: dict[tuple[int, int], bool] = field(default_factory=dict)
-    broadcast: dict[tuple[int, int], bool] = field(default_factory=dict)
+    cached: set[tuple[int, int]] = field(default_factory=set)
+    broadcast: set[tuple[int, int]] = field(default_factory=set)
     lps_channels: int = 1
 
     def is_cached(self, video_id: int, q_index: int) -> bool:
-        return self.cached.get((video_id, q_index), False)
+        return (video_id, q_index) in self.cached
 
     def is_broadcast(self, video_id: int, q_index: int) -> bool:
-        return self.broadcast.get((video_id, q_index), False)
+        return (video_id, q_index) in self.broadcast
 
     def is_served(self, video_id: int, q_index: int) -> bool:
         """Whether the item is cached or broadcast, i.e. never needs a dedicated stream."""
         key = (video_id, q_index)
-        return self.cached.get(key, False) or self.broadcast.get(key, False)
+        return key in self.cached or key in self.broadcast
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,8 @@ def place_cache(
     placement = PlacementMap()
     remaining = float(cache_capacity_bits)
     for v, q, _w in _by_weight(weighted_items(videos)):
-        placement.cached[(v.id, q.q_index)] = False
-        placement.broadcast[(v.id, q.q_index)] = False
         if q.size_bits <= remaining:
-            placement.cached[(v.id, q.q_index)] = True
+            placement.cached.add((v.id, q.q_index))
             remaining -= q.size_bits
     return placement
 
@@ -250,17 +249,13 @@ def select_broadcast_videos(
         raise ValueError("reserved_broadcast_bits must be non-negative")
     if lps_channels < 1:
         raise ValueError("lps_channels must be at least 1")
-    out = PlacementMap(
-        cached=dict(placement.cached),
-        broadcast={k: False for k in placement.cached},
-        lps_channels=lps_channels,
-    )
+    out = PlacementMap(cached=set(placement.cached), lps_channels=lps_channels)
     uncached = (t for t in weighted_items(videos) if not out.is_cached(t[0].id, t[1].q_index))
     spent = 0.0
     for v, q, _w in _by_weight(uncached):
         cost = q.stream_rate_bps * lps_channels
         if spent + cost <= reserved_broadcast_bits + 1e-6:
-            out.broadcast[(v.id, q.q_index)] = True
+            out.broadcast.add((v.id, q.q_index))
             spent += cost
     return out
 

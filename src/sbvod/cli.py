@@ -402,10 +402,10 @@ def _cmd_experiment(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _item_runs(flags: dict[tuple[int, int], bool]) -> str:
-    """The flagged (video, quality) items; consecutive ids at one quality print as ``vAqQ-vBqQ``."""
+def _item_runs(keys: set[tuple[int, int]]) -> str:
+    """The placed (video, quality) items; consecutive ids at one quality print as ``vAqQ-vBqQ``."""
     runs: list[list[int]] = []  # [first id, last id, quality]
-    for v, q in sorted(k for k, flag in flags.items() if flag):
+    for v, q in sorted(keys):
         if runs and runs[-1][1:] == [v - 1, q]:
             runs[-1][1] = v
         else:

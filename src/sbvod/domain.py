@@ -160,13 +160,29 @@ class SimConfig:
         return int(round(self.warmup_minutes * MS_PER_MINUTE))
 
 
+def max_channels(bandwidth_mbps: float, transmission_rate_mbps: float, num_videos: int) -> int:
+    """Largest per-video channel count the link can carry.
+
+    Each channel transmits at the consumption rate, and every one of the
+    ``num_videos`` videos gets its own channel group, so the budget is
+    rate * K * num_videos <= bandwidth. The count stops at the most
+    channels ``validate_config`` accepts, since a vanishing rate sends the
+    quotient to infinity (and an infinite link over an infinite rate to NaN).
+    """
+    if not (bandwidth_mbps > 0 and transmission_rate_mbps > 0 and num_videos >= 1):
+        raise ValueError("arguments must be positive")
+    # Guard against 6.999999 style float artifacts before flooring.
+    per_video = bandwidth_mbps / (transmission_rate_mbps * num_videos) + 1e-9
+    return math.floor(per_video) if per_video <= _MAX_CHANNELS else _MAX_CHANNELS
+
+
 def validate_config(cfg: SimConfig) -> list[str]:
     """Return a list of violation messages; an empty list means the config is sound.
 
     Anything accepted here must run cleanly downstream, so this also rejects
     NaN and infinite values and covers the segment-divisibility rule and
-    the channel bandwidth budget (consumption rate x channels x videos must
-    fit inside the link).
+    the channel bandwidth budget of :func:`max_channels` (consumption rate
+    x channels x videos must fit inside the link).
     """
     out: list[str] = []
     for name, value in vars(cfg).items():
@@ -235,16 +251,15 @@ def validate_config(cfg: SimConfig) -> list[str]:
 
     channels_ok = 1 <= cfg.channels <= _MAX_CHANNELS
     if (cfg.bandwidth_mbps > 0 and cfg.consumption_rate_mbps > 0 and channels_ok
-            and 1 <= cfg.num_videos <= _MAX_VIDEOS):
-        # The inequality sb_scheduler.max_channels floors, so the two agree
-        # at the boundary; a vanishing rate sends the quotient to inf.
+            and 1 <= cfg.num_videos <= _MAX_VIDEOS
+            and cfg.channels > max_channels(cfg.bandwidth_mbps, cfg.consumption_rate_mbps,
+                                            cfg.num_videos)):
         per_video = cfg.bandwidth_mbps / (cfg.consumption_rate_mbps * cfg.num_videos)
-        if cfg.channels > per_video + 1e-9:
-            out.append(
-                f"channel budget infeasible: channels = {cfg.channels} exceeds"
-                " bandwidth_mbps / (consumption_rate_mbps * num_videos) ="
-                f" {per_video:.12g}"
-            )
+        out.append(
+            f"channel budget infeasible: channels = {cfg.channels} exceeds"
+            " bandwidth_mbps / (consumption_rate_mbps * num_videos) ="
+            f" {per_video:.12g}"
+        )
     if 0 < cfg.video_length_minutes <= _MAX_MINUTES and channels_ok:
         if (cfg.video_length_minutes * MS_PER_MINUTE) % cfg.channels != 0:
             out.append(
@@ -344,24 +359,19 @@ def catalog_from_config(cfg: SimConfig) -> tuple[VideoSpec, ...]:
     """Build the default video catalog for a config.
 
     Popularity follows :func:`zipf_popularity` over ``num_videos``. Each
-    video carries a single quality at the consumption rate.
+    video carries a single quality at the consumption rate; the levels are
+    frozen, so every video shares one ladder.
     """
     rate_bps = cfg.consumption_rate_mbps * BITS_PER_MEGABIT
-    size_bits = cfg.video_length_minutes * 60 * rate_bps
+    ladder = (QualityLevel(q_index=1, stream_rate_bps=rate_bps,
+                           size_bits=cfg.video_length_minutes * 60 * rate_bps, request_prob=1.0),)
     return tuple(
         VideoSpec(
             id=k,
             length_minutes=cfg.video_length_minutes,
             consumption_rate_mbps=cfg.consumption_rate_mbps,
             popularity=popularity,
-            qualities=(
-                QualityLevel(
-                    q_index=1,
-                    stream_rate_bps=rate_bps,
-                    size_bits=size_bits,
-                    request_prob=1.0,
-                ),
-            ),
+            qualities=ladder,
         )
         for k, popularity in enumerate(zipf_popularity(cfg.num_videos), start=1)
     )

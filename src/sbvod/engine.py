@@ -33,7 +33,7 @@ from .domain import (
     validate_config,
     zipf_popularity,
 )
-from .sb_scheduler import build_plan, classify_arrival
+from .sb_scheduler import BroadcastPlan, classify_arrival
 
 
 class SimulationError(RuntimeError):
@@ -168,7 +168,7 @@ class Simulation:
         self.trace = trace
 
         # Every video has the config's length and channel count: one timetable.
-        self.plan = build_plan(cfg.video_length_minutes, cfg.channels)
+        self.plan = BroadcastPlan(cfg.channels, cfg.video_length_minutes * MS_PER_MINUTE // cfg.channels)
         popularity = zipf_popularity(cfg.num_videos)
         total = math.fsum(popularity)
         self._video_edges = list(itertools.accumulate(p / total for p in popularity))

@@ -140,7 +140,7 @@ def test_criterion_4_erlang_b_against_factorial_sum():
 
 
 def _videos_from_weights(weights, size):
-    total = sum(weights)
+    total = math.fsum(weights)
     out = []
     for i, w in enumerate(weights, start=1):
         out.append(
@@ -161,9 +161,9 @@ def _brute_force_best(videos, capacity):
     items = list(weighted_items(videos))
     best = 0.0
     for mask in itertools.product((0, 1), repeat=len(items)):
-        used = sum(q.size_bits for (_v, q, _w), m in zip(items, mask) if m)
+        used = math.fsum(q.size_bits for (_v, q, _w), m in zip(items, mask) if m)
         if used <= capacity:
-            got = sum(w for (_v, _q, w), m in zip(items, mask) if m)
+            got = math.fsum(w for (_v, _q, w), m in zip(items, mask) if m)
             best = max(best, got)
     return best
 

@@ -104,9 +104,9 @@ def brute_force_best_hit(videos, capacity):
     items = list(weighted_items(videos))
     best = 0.0
     for mask in itertools.product((0, 1), repeat=len(items)):
-        size = sum(q.size_bits for (v, q, w), m in zip(items, mask) if m)
+        size = math.fsum(q.size_bits for (v, q, w), m in zip(items, mask) if m)
         if size <= capacity:
-            best = max(best, sum(w for (v, q, w), m in zip(items, mask) if m))
+            best = max(best, math.fsum(w for (v, q, w), m in zip(items, mask) if m))
     return best
 
 
@@ -121,12 +121,12 @@ class TestPlaceCache:
     def test_zero_capacity(self):
         videos = make_videos([0.5, 0.5])
         placement = place_cache(videos, 0.0)
-        assert not any(placement.cached.values())
+        assert placement.cached == set()
 
     def test_full_capacity(self):
         videos = make_videos([0.5, 0.5], sizes=[8.0, 8.0])
         placement = place_cache(videos, 16.0)
-        assert all(placement.cached.values())
+        assert placement.cached == {(1, 1), (2, 1)}
 
     def test_skip_and_continue_lets_smaller_item_in(self):
         # The runner-up is too large; the scan keeps going and caches the
@@ -196,7 +196,7 @@ class TestHitRatio:
         # first) sum a hair past 1. Stand-ins carry the fields hit_ratio
         # reads, since building 2,000 real catalogs takes seconds.
         quality = catalog_from_config(SimConfig())[0].qualities
-        everything = PlacementMap(cached={(k, 1): True for k in range(1, 2001)})
+        everything = PlacementMap(cached={(k, 1) for k in range(1, 2001)})
         for n in range(1, 2001):
             videos = [SimpleNamespace(id=k, popularity=p, qualities=quality)
                       for k, p in enumerate(zipf_popularity(n), start=1)]
@@ -262,7 +262,7 @@ class TestBroadcastSelection:
     def test_zero_reservation_flags_nothing(self):
         videos = make_videos([0.6, 0.4])
         placement = select_broadcast_videos(videos, place_cache(videos, 0.0), 0.0, 1)
-        assert not any(placement.broadcast.values())
+        assert placement.broadcast == set()
 
     def test_ample_reservation_flags_all_non_cached(self):
         videos = make_videos([0.5, 0.3, 0.2], sizes=[10.0, 10.0, 10.0])
@@ -287,10 +287,9 @@ class TestBroadcastSelection:
         videos = make_videos([0.5, 0.5], sizes=[10.0, 10.0])
         placement = place_cache(videos, 10.0)
         out = select_broadcast_videos(videos, placement, 1e12, 1)
-        assert out.cached == placement.cached
-        for key, cached in out.cached.items():
-            if cached:
-                assert not out.broadcast[key]
+        assert out.cached == placement.cached == {(1, 1)}
+        assert out.cached is not placement.cached
+        assert out.broadcast == {(2, 1)} and placement.broadcast == set()
 
 
 class TestBroadcastAnalysis:
@@ -351,7 +350,7 @@ class TestSharedReportBody:
         placement = place_cache(self._VIDEOS, cache_bits)
         flagged = select_broadcast_videos(self._VIDEOS, placement, 4e6, 2)
         plain = PlacementMap(cached=flagged.cached)
-        assert any(flagged.broadcast.values()) or cache_bits == 40.0
+        assert flagged.broadcast or cache_bits == 40.0
         assert _field_reprs(dedicated_stream_analysis(self._VIDEOS, flagged, 0.5, 20e6, 60.0)) == (
             _field_reprs(dedicated_stream_analysis(self._VIDEOS, plain, 0.5, 20e6, 60.0))
         )
@@ -362,7 +361,7 @@ class TestSharedReportBody:
         placement = place_cache(self._VIDEOS, cache_bits)
         empty = select_broadcast_videos(self._VIDEOS, placement, 0.0, lps_channels)
         # Flags on cached items replay nothing either.
-        cached_flags = PlacementMap(cached=placement.cached, broadcast=dict(placement.cached),
+        cached_flags = PlacementMap(cached=placement.cached, broadcast=set(placement.cached),
                                     lps_channels=lps_channels)
         expected = _field_reprs(dedicated_stream_analysis(self._VIDEOS, placement, 0.5, 20e6, 60.0))
         for p in (empty, cached_flags):

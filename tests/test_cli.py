@@ -424,10 +424,9 @@ class TestMain:
         assert "blocking_prob" in capsys.readouterr().out
 
     def test_item_runs_break_at_gaps_and_quality_changes(self):
-        flags = {(1, 1): True, (2, 1): True, (3, 1): False, (4, 1): True, (5, 1): True,
-                 (6, 1): True, (7, 2): True, (8, 2): True, (10, 1): True}
-        assert _item_runs(flags) == "v1q1-v2q1 v4q1-v6q1 v7q2-v8q2 v10q1"
-        assert _item_runs({(1, 1): False}) == "(none)"
+        keys = {(1, 1), (2, 1), (4, 1), (5, 1), (6, 1), (7, 2), (8, 2), (10, 1)}
+        assert _item_runs(keys) == "v1q1-v2q1 v4q1-v6q1 v7q2-v8q2 v10q1"
+        assert _item_runs(set()) == "(none)"
 
     def test_analyze_with_reservation_and_csv(self, tmp_path, capsys):
         out_csv = tmp_path / "cap.csv"

@@ -20,9 +20,9 @@ from sbvod.domain import (
     catalog_from_config,
     derive_seed,
     load_config,
+    max_channels,
     validate_config,
 )
-from sbvod.sb_scheduler import max_channels
 
 
 def _quality(rate=1.5e6, size=5.4e9, prob=1.0, q=1):
@@ -134,6 +134,19 @@ class TestValidateConfig:
     def test_zero_bandwidth(self):
         msgs = validate_config(dataclasses.replace(SimConfig(), bandwidth_mbps=0.0))
         assert "bandwidth_mbps must be positive" in msgs
+
+    def test_infinite_link_over_infinite_rate_is_only_non_finite(self):
+        # The budget quotient is NaN here; the finiteness messages cover it.
+        cfg = dataclasses.replace(SimConfig(), bandwidth_mbps=math.inf, consumption_rate_mbps=math.inf)
+        assert validate_config(cfg) == ["bandwidth_mbps must be finite", "consumption_rate_mbps must be finite"]
+
+    def test_empty_video_or_no_channels_rejected(self):
+        assert validate_config(dataclasses.replace(SimConfig(), video_length_minutes=0)) == [
+            "video_length_minutes must be positive"
+        ]
+        assert validate_config(dataclasses.replace(SimConfig(), channels=0)) == [
+            "channels must be at least 1"
+        ]
 
     def test_segment_divisibility(self):
         bad = dataclasses.replace(SimConfig(), channels=7)  # 60 min / 7 is not whole ms

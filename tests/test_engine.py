@@ -26,7 +26,7 @@ from sbvod.engine import (
     classify_arrival,
     run_simulation,
 )
-from sbvod.sb_scheduler import build_plan
+from sbvod.sb_scheduler import BroadcastPlan
 
 MIN = MS_PER_MINUTE
 
@@ -39,19 +39,32 @@ def short_cfg(**overrides):
 
 class TestClassifyArrival:
     def test_at_epoch_is_on_time(self):
-        cls = classify_arrival(build_plan(60, 5), 0)
+        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 0)
         assert cls.on_time and cls.missed_ms == 0
 
     def test_five_minutes_in_is_late_on_channel_one(self):
         # Channel 1 opened segment 1 at 0; channel 2 opens it at 12 min.
-        cls = classify_arrival(build_plan(60, 5), 5 * MIN)
+        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 5 * MIN)
         assert not cls.on_time
         assert cls.missed_ms == 5 * MIN
         assert cls.wait_ms == 7 * MIN
 
     def test_slot_boundary_is_on_time_next_channel(self):
-        cls = classify_arrival(build_plan(60, 5), 12 * MIN)
+        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 12 * MIN)
         assert cls.on_time and cls.wait_ms == 0
+
+
+class TestRunPlan:
+    @pytest.mark.parametrize("fields, plan", [
+        ({}, BroadcastPlan(5, 720_000)),
+        ({"video_length_minutes": 30}, BroadcastPlan(5, 360_000)),
+        # K = L * 60000 channels cut the video into 1 ms segments.
+        ({"channels": 60 * MIN, "consumption_rate_mbps": 1e-5}, BroadcastPlan(60 * MIN, 1)),
+    ], ids=["60-over-5", "30-over-5", "1ms-segments"])
+    def test_run_splits_the_video_into_one_segment_per_channel(self, fields, plan):
+        cfg = SimConfig(**fields)
+        assert validate_config(cfg) == []
+        assert Simulation(cfg, SchemeId.NO_CACHE).plan == plan
 
 
 class TestStreamPool:

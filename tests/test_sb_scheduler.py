@@ -1,10 +1,13 @@
-"""Timetable construction and queries for the staggered broadcast channels.
+"""Queries on the staggered broadcast timetable, and the channel budget.
 
 The worked values come from enumerating the 60-minute, 5-channel
 timetable by hand: segments are 12 minutes, channel i starts at
 (i - 1) * 12 min, and somewhere a segment-1 slot opens every 12 minutes.
+A run builds its plan from the validated config; ``test_engine`` checks
+that construction, and ``test_domain`` the segment rule it relies on.
 """
 
+import math
 import random
 import statistics
 import tracemalloc
@@ -13,34 +16,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sbvod.domain import MS_PER_MINUTE
-from sbvod.sb_scheduler import (
-    NonDivisibleError,
-    build_plan,
-    classify_arrival,
-    max_channels,
-    segment_duration_ms,
-)
+from sbvod.domain import MS_PER_MINUTE, max_channels
+from sbvod.sb_scheduler import BroadcastPlan, classify_arrival
 
 MIN = MS_PER_MINUTE
-
-
-class TestSegmentDuration:
-    def test_sixty_over_five_is_twelve_minutes(self):
-        assert segment_duration_ms(60, 5) == 12 * MIN == 720_000
-
-    def test_thirty_over_five(self):
-        assert segment_duration_ms(30, 5) == 6 * MIN
-
-    def test_non_divisible_rejected(self):
-        with pytest.raises(NonDivisibleError):
-            segment_duration_ms(60, 7)
-
-    def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            segment_duration_ms(0, 5)
-        with pytest.raises(ValueError):
-            segment_duration_ms(60, 0)
+# The 60-minute video on 5 channels.
+PLAN = BroadcastPlan(5, 12 * MIN)
 
 
 class TestMaxChannels:
@@ -56,19 +37,21 @@ class TestMaxChannels:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             max_channels(0.0, 1.5, 1)
+        with pytest.raises(ValueError, match="positive"):
+            max_channels(math.nan, 1.5, 1)
 
 
 class TestBuildPlan:
+    """A plan's segment-1 slots and cycle, whatever its channel count."""
+
     def test_offsets_and_cycle(self):
         # Channel i starts segment 1 at (i - 1) * 12 min.
-        plan = build_plan(60, 5)
-        assert plan.segment_duration_ms == 12 * MIN
-        assert all(classify_arrival(plan, off * MIN).on_time for off in (0, 12, 24, 36, 48))
-        assert plan.cycle_ms == 60 * MIN
+        assert all(classify_arrival(PLAN, off * MIN).on_time for off in (0, 12, 24, 36, 48))
+        assert PLAN.cycle_ms == 60 * MIN
 
     def test_single_channel_degenerate(self):
-        plan = build_plan(30, 1)
-        assert plan.segment_duration_ms == plan.cycle_ms == 30 * MIN
+        plan = BroadcastPlan(1, 30 * MIN)
+        assert plan.segment_ms == plan.cycle_ms == 30 * MIN
 
     def test_plan_size_does_not_grow_with_channels(self):
         # 50 minutes on 10**6 channels: 3 ms segments. A stored offset per
@@ -76,39 +59,35 @@ class TestBuildPlan:
         # reach 6 * 10**10.
         tracemalloc.start()
         try:
-            plan = build_plan(50, 10**6)
+            plan = BroadcastPlan(10**6, 3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 10_000
-        assert plan.segment_duration_ms == 3 and plan.cycle_ms == 50 * MIN
+        assert plan.segment_ms == 3 and plan.cycle_ms == 50 * MIN
         assert classify_arrival(plan, (10**6 - 1) * 3).on_time
 
     def test_slot_sequence_across_channels(self):
         # Segment-1 slots open at 0, 12, 24, 36, 48, 60, ... minutes on
         # channels 1, 2, 3, 4, 5, 1, ...
-        plan = build_plan(60, 5)
         for k in range(12):
-            assert classify_arrival(plan, k * 12 * MIN).wait_ms == 0
+            assert classify_arrival(PLAN, k * 12 * MIN).wait_ms == 0
 
 
 class TestNextFirstSegmentStart:
     """The wait for the next segment-1 slot, as ``classify_arrival`` reports it."""
 
     def test_at_epoch(self):
-        plan = build_plan(60, 5)
-        assert classify_arrival(plan, 0).wait_ms == 0
+        assert classify_arrival(PLAN, 0).wait_ms == 0
 
     def test_five_minutes_in(self):
-        plan = build_plan(60, 5)
-        assert classify_arrival(plan, 5 * MIN).wait_ms == 7 * MIN
+        assert classify_arrival(PLAN, 5 * MIN).wait_ms == 7 * MIN
 
     def test_exactly_one_segment_in(self):
-        plan = build_plan(60, 5)
-        assert classify_arrival(plan, 12 * MIN).wait_ms == 0
+        assert classify_arrival(PLAN, 12 * MIN).wait_ms == 0
 
     def test_arrival_class_is_an_immutable_value(self):
-        arrival = classify_arrival(build_plan(60, 5), 5 * MIN)
+        arrival = classify_arrival(PLAN, 5 * MIN)
         assert repr(arrival) == "ArrivalClass(on_time=False, missed_ms=300000, wait_ms=420000)"
         with pytest.raises(AttributeError):
             arrival.wait_ms = 0
@@ -117,24 +96,21 @@ class TestNextFirstSegmentStart:
 
     @given(st.integers(min_value=0, max_value=10 * 60 * MIN - 1))
     def test_wait_bounded_and_lands_on_segment_one(self, t):
-        plan = build_plan(60, 5)
-        wait = classify_arrival(plan, t).wait_ms
-        assert 0 <= wait < plan.segment_duration_ms
-        assert classify_arrival(plan, t + wait).on_time
+        wait = classify_arrival(PLAN, t).wait_ms
+        assert 0 <= wait < PLAN.segment_ms
+        assert classify_arrival(PLAN, t + wait).on_time
 
 
 class TestMeanWait:
     def test_closed_form_over_one_cycle(self):
         # Averaging the wait over every ms offset in one segment gives
         # (D-1)/2 on the integer grid; the continuous-time value is D/2.
-        plan = build_plan(60, 5)
-        d = plan.segment_duration_ms
+        d = PLAN.segment_ms
         total = sum((d - (s % d)) % d for s in range(d))
         assert total / d == (d - 1) / 2
 
     def test_mean_wait_near_half_segment_for_uniform_draws(self):
-        plan = build_plan(60, 5)
-        d = plan.segment_duration_ms
+        d = PLAN.segment_ms
         rng = random.Random(1234)
-        waits = [classify_arrival(plan, rng.randrange(10 * plan.cycle_ms)).wait_ms for _ in range(100_000)]
+        waits = [classify_arrival(PLAN, rng.randrange(10 * PLAN.cycle_ms)).wait_ms for _ in range(100_000)]
         assert statistics.fmean(waits) == pytest.approx(d / 2, rel=0.01)
