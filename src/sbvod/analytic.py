@@ -85,9 +85,9 @@ def erlang_b(offered_load: float, servers: int) -> float:
     which avoids the factorials of the textbook closed form. With zero
     servers everything blocks, so ``B == 1`` for any positive load.
     """
-    if offered_load < 0:
+    if not offered_load >= 0:
         raise ValueError("offered_load must be non-negative")
-    if servers < 0:
+    if not servers >= 0:
         raise ValueError("servers must be non-negative")
     b = 1.0
     for n in range(1, servers + 1):
@@ -106,7 +106,7 @@ def place_cache(
     item that does not fit is skipped and the scan continues, so a small
     popular item can still land after a large one was passed over.
     """
-    if cache_capacity_bits < 0:
+    if not cache_capacity_bits >= 0:
         raise ValueError("cache_capacity_bits must be non-negative")
     placement = PlacementMap()
     remaining = float(cache_capacity_bits)
@@ -145,11 +145,11 @@ def _residual_traffic(videos, served, lambda_per_sec: float, bandwidth_bits: flo
     (lambda_rest, avg_rate, streams, load))``, or ``(served_weight, None)``
     when no request reaches the link.
     """
-    if lambda_per_sec < 0:
+    if not lambda_per_sec >= 0:
         raise ValueError("lambda_per_sec must be non-negative")
-    if bandwidth_bits <= 0:
+    if not bandwidth_bits > 0:
         raise ValueError("bandwidth_bits must be positive")
-    if mean_service_minutes <= 0:
+    if not mean_service_minutes > 0:
         raise ValueError("mean_service_minutes must be positive")
 
     served_weight = _served_weight(videos, served)
@@ -245,9 +245,9 @@ def select_broadcast_videos(
     weight and flag each one whose replay cost (rate x lps_channels) still
     fits; items that do not fit are skipped and the scan continues.
     """
-    if reserved_broadcast_bits < 0:
+    if not reserved_broadcast_bits >= 0:
         raise ValueError("reserved_broadcast_bits must be non-negative")
-    if lps_channels < 1:
+    if not lps_channels >= 1:
         raise ValueError("lps_channels must be at least 1")
     out = PlacementMap(cached=set(placement.cached), lps_channels=lps_channels)
     uncached = (t for t in weighted_items(videos) if not out.is_cached(t[0].id, t[1].q_index))

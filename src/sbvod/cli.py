@@ -73,7 +73,11 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A fully-resolved sweep: what to run, over what, and where to write."""
+    """A fully-resolved sweep: what to run, over what, and where to write.
+
+    Building one checks every sweep rule, for CLI and API callers alike, and raises
+    ``ConfigError`` before any run. It validates each point, not the base, whose swept field never runs.
+    """
 
     name: str
     schemes: tuple[SchemeId, ...]
@@ -94,6 +98,19 @@ class ExperimentSpec:
             raise ConfigError("replications must be at least 1")
         if self.sweep_var not in _SWEEP_VARS.values():
             raise ConfigError(f"unsupported sweep variable {self.sweep_var!r}")
+        own = _EXPERIMENTS[self.name][0]
+        if own not in (None, self.sweep_var):
+            raise ConfigError(f"{self.name} sweeps {own}, not {self.sweep_var}")
+        printed: dict[str, float] = {}
+        for value in self.values:
+            # Seeds and rows carry the value as printed, so values that print alike would share both.
+            label = f"{value:g}"
+            if label in printed:
+                raise ConfigError(f"sweep values {printed[label]!r} and {value!r} are the same to 6 significant digits")
+            printed[label] = value
+            if self.sweep_var == "video_length_minutes" and value % 1 != 0:
+                raise ConfigError(f"video lengths must be whole minutes, not {value:g}")
+            _checked(_cfg_for_value(self, value))
 
 
 def _fmt(x: float | None) -> str:
@@ -324,42 +341,24 @@ def _checked(cfg: SimConfig) -> SimConfig:
 
 def _load_base_config(path: str | None, seed: int | None) -> SimConfig:
     cfg = load_config(path) if path else SimConfig()
-    return _checked(cfg if seed is None else replace(cfg, seed=seed))
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def build_experiment_spec(ns: argparse.Namespace) -> ExperimentSpec:
-    """The sweep the arguments ask for; a point that cannot run raises ``ConfigError`` here."""
+    """Map the flags onto a spec; its own checks raise ``ConfigError`` for a sweep that cannot run."""
     base = _load_base_config(ns.config, ns.seed)
-    schemes = tuple(SchemeId) if ns.scheme is None else tuple(ns.scheme)
     sweep_var, values = _EXPERIMENTS[ns.name]
-    if sweep_var is None:
-        if ns.sweep is None or ns.sweep_var is None:
-            raise ConfigError(f"{ns.name} experiments need --sweep and --sweep-var")
-        sweep_var = _SWEEP_VARS[ns.sweep_var]
-    if ns.sweep_var is not None and _SWEEP_VARS[ns.sweep_var] != sweep_var:
-        raise ConfigError(f"--sweep-var {ns.sweep_var} does not apply to {ns.name}, which sweeps {sweep_var}")
-    if ns.sweep is not None:
-        values = ns.sweep
-    spec = ExperimentSpec(
+    if sweep_var is None and (ns.sweep is None or ns.sweep_var is None):
+        raise ConfigError(f"{ns.name} experiments need --sweep and --sweep-var")
+    return ExperimentSpec(
         name=ns.name,
-        schemes=schemes,
-        sweep_var=sweep_var,
-        values=values,
+        schemes=tuple(SchemeId) if ns.scheme is None else tuple(ns.scheme),
+        sweep_var=sweep_var if ns.sweep_var is None else _SWEEP_VARS[ns.sweep_var],
+        values=values if ns.sweep is None else ns.sweep,
         replications=ns.reps,
         base=base,
         out_path=ns.out,
     )
-    printed: dict[str, float] = {}
-    for value in values:
-        # Seeds and rows carry the value as printed, so values that print alike would share both.
-        label = f"{value:g}"
-        if label in printed:
-            raise ConfigError(f"sweep values {printed[label]!r} and {value!r} are the same to 6 significant digits")
-        printed[label] = value
-        if sweep_var == "video_length_minutes" and not value.is_integer():
-            raise ConfigError(f"video lengths must be whole minutes, not {value:g}")
-        _checked(_cfg_for_value(spec, value))
-    return spec
 
 
 def _print_aligned(pairs: list[tuple[str, object]]) -> None:
@@ -386,7 +385,7 @@ def _report_pairs(report: MetricsReport) -> list[tuple[str, object]]:
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     if len(ns.scheme) != 1:
         raise ConfigError("simulate takes exactly one --scheme")
-    cfg = _load_base_config(ns.config, ns.seed)
+    cfg = _checked(_load_base_config(ns.config, ns.seed))
     trace = sys.stderr if ns.trace else None
     report = run_simulation(cfg, ns.scheme[0], trace=trace)
     _print_aligned(_report_pairs(report))
@@ -427,7 +426,7 @@ def _check_analyze_flags(ns: argparse.Namespace) -> None:
 
 def _cmd_analyze(ns: argparse.Namespace) -> int:
     _check_analyze_flags(ns)
-    cfg = _load_base_config(ns.config, None)
+    cfg = _checked(_load_base_config(ns.config, None))
     videos = catalog_from_config(cfg)
     total_bits = math.fsum(q.size_bits for v in videos for q in v.qualities)
     cache_bits = (

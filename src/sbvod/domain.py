@@ -340,7 +340,7 @@ class RandomSource:
     """
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+        self.seed = int(seed)
 
     def substream(self, *labels: object) -> random.Random:
         return random.Random(derive_seed(self.seed, *labels))

@@ -97,6 +97,8 @@ class TestErlangB:
             erlang_b(-1.0, 3)
         with pytest.raises(ValueError):
             erlang_b(1.0, -3)
+        with pytest.raises(ValueError, match="offered_load must be non-negative"):
+            erlang_b(math.nan, 5)
 
 
 def brute_force_best_hit(videos, capacity):
@@ -385,3 +387,24 @@ def test_placement_map_defaults():
     assert not pm.is_cached(1, 1)
     assert not pm.is_broadcast(1, 1)
     assert pm.lps_channels == 1
+
+
+_NAN_CASES = {
+    "cache-capacity": (lambda v, p: place_cache(v, math.nan), "cache_capacity_bits must be non-negative"),
+    "reservation": (lambda v, p: select_broadcast_videos(v, p, math.nan, 1),
+                    "reserved_broadcast_bits must be non-negative"),
+    "arrival-rate": (lambda v, p: dedicated_stream_analysis(v, p, math.nan, 54e6, 60.0),
+                     "lambda_per_sec must be non-negative"),
+    "bandwidth": (lambda v, p: dedicated_stream_analysis(v, p, 0.1, math.nan, 60.0),
+                  "bandwidth_bits must be positive"),
+    "service-time": (lambda v, p: broadcast_analysis(v, p, 0.1, 54e6, math.nan),
+                     "mean_service_minutes must be positive"),
+}
+
+
+@pytest.mark.parametrize("call, message", _NAN_CASES.values(), ids=_NAN_CASES)
+def test_nan_arguments_are_rejected(call, message):
+    """A NaN argument fails the same check as an out-of-range one, instead of flowing into the result."""
+    videos = make_videos([0.5, 0.3, 0.2], sizes=[10.0, 10.0, 10.0])
+    with pytest.raises(ValueError, match=message):
+        call(videos, place_cache(videos, 10.0))

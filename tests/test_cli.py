@@ -25,7 +25,7 @@ from sbvod.cli import (
     run_experiment,
     run_many,
 )
-from sbvod.domain import SimConfig, derive_seed
+from sbvod.domain import ConfigError, SimConfig, derive_seed
 from sbvod.engine import SimulationError, run_simulation
 
 
@@ -94,6 +94,24 @@ class TestSpecValidation:
                 name="custom", schemes=(SchemeId.NO_CACHE,), sweep_var="arrival_rate_per_min",
                 values=(1.0,), replications=0, base=SimConfig(), out_path=str(tmp_path / "x.csv"),
             )
+
+    @pytest.mark.parametrize("name, sweep_var, values, base, message", [
+        ("custom", "video_length_minutes", (30.5,), SimConfig(), "whole minutes, not 30.5"),
+        ("custom", "arrival_rate_per_min", (4.0000001, 4.0000002), SimConfig(), "6 significant digits"),
+        ("custom", "arrival_rate_per_min", (4, 4), SimConfig(), "6 significant digits"),
+        ("delay_vs_length", "arrival_rate_per_min", (8.0,), SimConfig(),
+         "delay_vs_length sweeps video_length_minutes, not arrival_rate_per_min"),
+        ("custom", "arrival_rate_per_min", (4.0, -1.0), SimConfig(),
+         "arrival_rate_per_min must be positive"),
+        ("custom", "video_length_minutes", (35.0, 30.0), SimConfig(channels=7),
+         "video_length_minutes = 30 does not split into 7 equal segments"),
+    ], ids=["fractional-length", "values-print-alike", "repeated-value", "sweep-var-of-another-experiment",
+            "negative-rate", "length-that-does-not-split"])
+    def test_api_spec_checks_every_sweep_rule(self, tmp_path, name, sweep_var, values, base, message):
+        # Building the spec raises, so no run can start.
+        with pytest.raises(ConfigError, match=message):
+            ExperimentSpec(name=name, schemes=(SchemeId.NO_CACHE,), sweep_var=sweep_var, values=values,
+                           replications=1, base=base, out_path=str(tmp_path / "x.csv"))
 
     def test_default_experiment_spec_from_args(self, tmp_path):
         ns = parse_args(["experiment", "--out", str(tmp_path / "r.csv")])
@@ -345,6 +363,21 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err.startswith("sbvod: ")
         assert not out_csv.exists()
+
+    def test_length_sweep_checks_its_points_not_the_base(self, tmp_path, capsys):
+        # The base's 60 minutes do not split into 7 segments, but a length sweep never runs them.
+        cfg = tmp_path / "l7.cfg"
+        cfg.write_text("channels = 7\nhorizon_minutes = 60\nwarmup_minutes = 5\n", encoding="utf-8")
+        args = ["experiment", "--config", str(cfg), "--name", "delay_vs_length", "--scheme", "no",
+                "--reps", "1", "--out"]
+        out_csv = tmp_path / "l7.csv"
+        assert main([*args, str(out_csv), "--sweep", "35,70"]) == 0
+        assert len(out_csv.read_text(encoding="utf-8").splitlines()) == 1 + 2 * 2
+        bad_csv = tmp_path / "bad.csv"
+        assert main([*args, str(bad_csv), "--sweep", "30,70"]) == 2
+        assert capsys.readouterr().err.endswith(
+            "sbvod: invalid config: video_length_minutes = 30 does not split into 7 equal segments\n")
+        assert not bad_csv.exists()
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--scheme", "dsc"],

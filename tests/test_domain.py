@@ -296,10 +296,14 @@ class TestRandomSource:
         assert derive_seed(1, "arrivals") != derive_seed(2, "arrivals")
         assert derive_seed(1, "a", 0) != derive_seed(1, "a", 1)
 
-    @pytest.mark.parametrize("label", ["arrivals", "placement", "video-choice", "cache-retention"])
-    def test_substream_is_mt19937_seeded_by_derive_seed(self, label):
+    # Seeds outside 64 bits are hashed whole, so -1 and 2**64 + 7 are not aliases of 2**64 - 1 and 7.
+    @pytest.mark.parametrize("seed, label", [
+        *((7, label) for label in ("arrivals", "placement", "video-choice", "cache-retention")),
+        (-1, "arrivals"), (2**64 + 7, "arrivals"),
+    ], ids=["arrivals", "placement", "video-choice", "cache-retention", "seed=-1", "seed=2**64+7"])
+    def test_substream_is_mt19937_seeded_by_derive_seed(self, seed, label):
         n = 10_000
-        got, want = RandomSource(7).substream(label), random.Random(derive_seed(7, label))
+        got, want = RandomSource(seed).substream(label), random.Random(derive_seed(seed, label))
         assert [got.random().hex() for _ in range(n)] == [want.random().hex() for _ in range(n)]
 
     def test_substream_reproducibility(self):

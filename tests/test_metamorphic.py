@@ -1,0 +1,49 @@
+"""Whole-run metamorphic relations: pairs of configs whose runs must agree.
+
+Each relation holds for any random stream, so it checks the simulator
+without pinning a number. The runs are short (150 minutes at 10
+arrivals/min over three videos) but long enough that neighbour hits,
+relays, cache retention and fallbacks all occur.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from sbvod.caching import SchemeId
+from sbvod.domain import SimConfig
+from sbvod.engine import run_simulation
+
+SEEDS = (1, 2, 3)
+
+
+def _cfg(seed: int, **overrides) -> SimConfig:
+    return SimConfig(arrival_rate_per_min=10.0, num_videos=3, horizon_minutes=150.0,
+                     warmup_minutes=5.0, seed=seed, **overrides)
+
+
+def _counts(cfg: SimConfig, scheme: SchemeId):
+    """Every count a report is built from; the scheme name is left out."""
+    r = run_simulation(cfg, scheme)
+    return r.delay_sum_ms, r.failures, r.outcome_counts, r.lps_requests
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_random_cache_that_keeps_every_video_is_all_cache(seed):
+    # Retention draws come from their own substream, so keeping always leaves
+    # every other draw, and hence the whole run, as all-cache makes it.
+    cfg = _cfg(seed, random_cache_prob=1.0)
+    assert _counts(cfg, SchemeId.RANDOM_CACHE) == _counts(cfg, SchemeId.ALL_CACHE)
+
+
+@pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaling_the_area_and_the_radio_range_together_changes_nothing(seed, scheme):
+    # A power-of-two factor scales every position and distance exactly, so
+    # each range test, and the grid cell each client falls in, is unchanged.
+    base = _cfg(seed)
+    want = _counts(base, scheme)
+    for factor in (2.0, 0.5, 2.0**40):
+        scaled = replace(base, lf_radius_m=base.lf_radius_m * factor,
+                         client_range_m=base.client_range_m * factor)
+        assert _counts(scaled, scheme) == want, f"x{factor:g}"
