@@ -25,13 +25,11 @@ from .domain import (
     validate_config,
 )
 from .engine import MetricsReport, Simulation, SimulationError, run_simulation
-from .sb_scheduler import BroadcastPlan
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AcquisitionOutcome",
-    "BroadcastPlan",
     "CapacityReport",
     "ConfigError",
     "LpsEntry",

@@ -8,7 +8,7 @@ forwarder's RAM pool, or a proxy server picked by the load balancer.
 
 Strategies are pure. The ``world`` they are handed is the running
 ``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
-``plan``, ``clients``, ``index`` (under dsc only), ``holders``,
+``cycle_ms``, ``clients``, ``index`` (under dsc only), ``holders``,
 ``lps_table`` and ``pools`` (each proxy's pool by id, the forwarder's
 under None). They return an :class:`AcquisitionOutcome`, and the engine
 applies it (marking uploads, queueing, recording balancer requests).
@@ -27,10 +27,9 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from . import balancer as _balancer
 from .domain import _CELL_SLACK, SimConfig
-from .sb_scheduler import ArrivalClass
 
 if TYPE_CHECKING:
-    from .engine import Simulation
+    from .engine import ArrivalClass, Simulation
 
 
 class SchemeId(Enum):
@@ -193,7 +192,7 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
     # now is out whether or not its departure has run yet, and no transfer ends
     # as its source leaves: same-ms event order cannot matter.
-    leave_by = until_ms - world.plan.cycle_ms  # playback started at or before this ends too soon
+    leave_by = until_ms - world.cycle_ms  # playback started at or before this ends too soon
     clients = world.clients
     x, y = pos
     r = world.cfg.client_range_m
@@ -255,17 +254,17 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
     """Decide how a late client obtains the opening of segment 1.
 
     ``world`` is the running ``engine.Simulation``; the strategy only reads
-    its ``now``, ``cfg``, ``plan``, ``clients``, ``index``, ``holders``,
+    its ``now``, ``cfg``, ``cycle_ms``, ``clients``, ``index``, ``holders``,
     ``lps_table`` and ``pools``. Under dsc only, ``index`` holds every
     present client; it is None under the other schemes.
     ``holders[video_id]`` holds that video's present holders, busy or not
     (the engine's mapping makes an empty grid on a video's first lookup),
     and a holder's ``uploading`` flag alone says it is busy. ``arrival`` is
-    ``classify_arrival`` of the plan at ``world.now``. The client missed
-    the current segment-1 slot by some margin; every scheme may fall back
-    to the next slot (``wait_ms`` away), and the queue-backed schemes
-    refuse a queue that would outlast that slot, which is what makes their
-    acquisition failures impossible while spare capacity exists.
+    ``engine.classify_arrival`` of the run's segment at ``world.now``. The
+    client missed the current segment-1 slot by some margin; every scheme
+    may fall back to the next slot (``wait_ms`` away), and the queue-backed
+    schemes refuse a queue that would outlast that slot, which is what makes
+    their acquisition failures impossible while spare capacity exists.
     """
     if arrival.on_time:
         raise ValueError("acquire_first_segment is only for late clients")

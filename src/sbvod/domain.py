@@ -151,13 +151,9 @@ class SimConfig:
     horizon_minutes: float = 300.0
     warmup_minutes: float = 30.0
 
-    @property
-    def horizon_ms(self) -> int:
-        return int(round(self.horizon_minutes * MS_PER_MINUTE))
 
-    @property
-    def warmup_ms(self) -> int:
-        return int(round(self.warmup_minutes * MS_PER_MINUTE))
+# Each field's declared type, "int" or "float", as the annotation string.
+_FIELD_TYPES = {f.name: f.type for f in _dc_fields(SimConfig)}
 
 
 def max_channels(bandwidth_mbps: float, transmission_rate_mbps: float, num_videos: int) -> int:
@@ -180,11 +176,19 @@ def validate_config(cfg: SimConfig) -> list[str]:
     """Return a list of violation messages; an empty list means the config is sound.
 
     Anything accepted here must run cleanly downstream, so this also rejects
-    NaN and infinite values and covers the segment-divisibility rule and
+    a value of the wrong type (a float or a bool in an int field), NaN and
+    infinite values, and covers the segment-divisibility rule and
     the channel bandwidth budget of :func:`max_channels` (consumption rate
     x channels x videos must fit inside the link).
     """
     out: list[str] = []
+    for name, ftype in _FIELD_TYPES.items():
+        value = getattr(cfg, name)
+        # A bool is an int to isinstance, but no count or rate.
+        if isinstance(value, bool) or not isinstance(value, int if ftype == "int" else (int, float)):
+            out.append(f"{name} must be an integer" if ftype == "int" else f"{name} must be a number")
+    if out:
+        return out  # the range rules below need numbers of the declared type
     for name, value in vars(cfg).items():
         if isinstance(value, float) and not math.isfinite(value):
             out.append(f"{name} must be finite")
@@ -276,7 +280,6 @@ def load_config(path: str | Path) -> SimConfig:
     Unknown and repeated keys raise ConfigError rather than being silently
     dropped or overwritten, and so does a file that cannot be read.
     """
-    field_types = {f.name: f.type for f in _dc_fields(SimConfig)}
     values: dict[str, object] = {}
     first_line: dict[str, int] = {}
     try:
@@ -294,12 +297,12 @@ def load_config(path: str | Path) -> SimConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in field_types:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in first_line:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r} (first on line {first_line[key]})")
         first_line[key] = lineno
-        ftype = field_types[key]
+        ftype = _FIELD_TYPES[key]
         try:
             if ftype == "int":
                 values[key] = int(val)

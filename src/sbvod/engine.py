@@ -7,6 +7,11 @@ for the opening they missed. Startup delay is measured from the arrival
 instant to the first playable data; a client then plays the whole video
 and departs.
 
+Each video is staggered over K channels: channel i (1-based) starts it at
+(i - 1) * D, D the segment duration, so segment 1 begins every D ms and a
+broadcast-only client waits at most D. The run turns the validated
+config's minutes into this integer-ms time base once.
+
 Events are processed strictly in (time, sequence) order off a single
 heap and every random draw comes from a labelled sub-stream of the run
 seed, so a run is a pure function of (config, scheme).
@@ -22,7 +27,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 from . import balancer, caching
 from .caching import AcquisitionOutcome, NeighborIndex, SchemeId, SourceKind
@@ -33,7 +38,6 @@ from .domain import (
     validate_config,
     zipf_popularity,
 )
-from .sb_scheduler import BroadcastPlan, classify_arrival
 
 
 class SimulationError(RuntimeError):
@@ -61,6 +65,20 @@ class ClientRecord:
     uploading: bool = False
     fetch: AcquisitionOutcome | None = None
     fetch_end_ms: int = 0
+
+
+class ArrivalClass(NamedTuple):
+    """Whether an arrival meets a segment-1 slot; ``wait_ms`` to the next one is 0 if so."""
+
+    on_time: bool
+    missed_ms: int
+    wait_ms: int
+
+
+def classify_arrival(segment_ms: int, t_ms: int) -> ArrivalClass:
+    """Split an arrival into on-time (a slot starts now) or late by ``missed_ms``."""
+    missed = t_ms % segment_ms
+    return ArrivalClass(missed == 0, missed, (segment_ms - missed) if missed else 0)
 
 
 # What a client who walks in exactly as a segment-1 slot opens counts as.
@@ -167,8 +185,12 @@ class Simulation:
         self.scheme = scheme
         self.trace = trace
 
-        # Every video has the config's length and channel count: one timetable.
-        self.plan = BroadcastPlan(cfg.channels, cfg.video_length_minutes * MS_PER_MINUTE // cfg.channels)
+        # The run's time base in ms. Every video has the config's length and
+        # channel count, so one segment D and one cycle K * D, the whole video.
+        self.segment_ms = cfg.video_length_minutes * MS_PER_MINUTE // cfg.channels
+        self.cycle_ms = cfg.channels * self.segment_ms
+        self.horizon_ms = int(round(cfg.horizon_minutes * MS_PER_MINUTE))
+        self.warmup_ms = int(round(cfg.warmup_minutes * MS_PER_MINUTE))
         popularity = zipf_popularity(cfg.num_videos)
         total = math.fsum(popularity)
         self._video_edges = list(itertools.accumulate(p / total for p in popularity))
@@ -201,8 +223,6 @@ class Simulation:
         self.pools = {i: StreamPool(cfg.lps_capacity) for i in (None, *lps_ids)}
         self.report = MetricsReport(scheme.value, cfg.seed, {i: 0 for i in lps_ids})
 
-        self.horizon_ms = cfg.horizon_ms
-        self.warmup_ms = cfg.warmup_ms
         self.arrived = 0
         self.departed = 0
 
@@ -265,7 +285,7 @@ class Simulation:
         if self.index is not None:
             self.index.add(cid, c.position)
 
-        arrival = classify_arrival(self.plan, self.now)
+        arrival = classify_arrival(self.segment_ms, self.now)
         if self.trace is not None:
             self._trace("arrival", cid, f"video={c.video_id} missed={arrival.missed_ms}")
 
@@ -347,9 +367,8 @@ class Simulation:
         if caching.on_playback_started(self.scheme, self.cfg, self._rng_cache):
             c.holder = True
             self.holders[c.video_id].add(c.id, c.position)
-        # One cycle of K segments of duration D is the whole video; the
-        # client leaves as its playback ends.
-        self._schedule(c.playback_start_ms + self.plan.cycle_ms, self._on_departure, c)
+        # The client leaves as its playback, one cycle, ends.
+        self._schedule(c.playback_start_ms + self.cycle_ms, self._on_departure, c)
 
     def _on_departure(self, c: ClientRecord) -> None:
         if c.uploading:

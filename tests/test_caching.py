@@ -2,9 +2,9 @@
 
 Each world is a real ``Simulation``, the object the engine hands a
 strategy, holding a few clients at chosen coordinates with their
-holder/uploading flags set directly, on one 60-minute 5-channel plan. Delay
-arithmetic uses the 20 ms default hop latency, so a neighbor fetch costs
-40 ms and a proxy fetch 60 ms.
+holder/uploading flags set directly, on one 60-minute 5-channel
+timetable. Delay arithmetic uses the 20 ms default hop latency, so a
+neighbor fetch costs 40 ms and a proxy fetch 60 ms.
 """
 
 import math
@@ -29,8 +29,14 @@ from sbvod.caching import (
     on_playback_started,
 )
 from sbvod.domain import MS_PER_MINUTE, RandomSource, SimConfig
-from sbvod.engine import _ON_TIME, ClientRecord, Simulation, StreamPool, run_simulation
-from sbvod.sb_scheduler import classify_arrival
+from sbvod.engine import (
+    _ON_TIME,
+    ClientRecord,
+    Simulation,
+    StreamPool,
+    classify_arrival,
+    run_simulation,
+)
 
 MIN = MS_PER_MINUTE
 LATENCY = 20
@@ -72,7 +78,7 @@ def dsc_world(clients, **kwargs):
 
 def acquire(scheme, newcomer, world):
     """``acquire_first_segment`` for an arrival at the world's clock."""
-    return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.plan, world.now))
+    return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.segment_ms, world.now))
 
 
 def ids_near(index, pos, reach=1):
@@ -409,7 +415,7 @@ def _ref_candidates(world, pos, skip_id, until_ms):
         if rec is None or rec.playback_start_ms is None:
             continue
         d2 = dist2(pos, rec.position)
-        if d2 <= r2 and rec.playback_start_ms + world.plan.cycle_ms > until_ms:
+        if d2 <= r2 and rec.playback_start_ms + world.cycle_ms > until_ms:
             out.append((d2, cid, rec))
     out.sort(key=lambda t: (t[0], t[1]))
     return out
@@ -432,7 +438,7 @@ def _ref_find_relay(world, newcomer, video_id, until_ms):
 
 def _ref_outcome(scheme, newcomer, world):
     """(kind, holder, via, failed, delay) the reference search leads to at the world's clock."""
-    arrival = classify_arrival(world.plan, world.now)
+    arrival = classify_arrival(world.segment_ms, world.now)
     latency = world.cfg.msg_latency_ms
     done = world.now + fetch_duration_ms(world.cfg, arrival.missed_ms)  # plus the hops
     video = newcomer.video_id

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from sbvod.caching import SchemeId
 from sbvod.domain import (
     _MAX_CHANNELS,
     _MAX_MEAN_GAP_MS,
@@ -23,6 +24,7 @@ from sbvod.domain import (
     max_channels,
     validate_config,
 )
+from sbvod.engine import SimulationError, run_simulation
 
 
 def _quality(rate=1.5e6, size=5.4e9, prob=1.0, q=1):
@@ -174,6 +176,33 @@ class TestValidateConfig:
         # minute-to-ms conversions, so neither may reach a run.
         cfg = dataclasses.replace(SimConfig(), **{name: value})
         assert f"{name} must be finite" in validate_config(cfg)
+
+    @pytest.mark.parametrize(
+        "name,value,message",
+        [
+            ("num_lps", 2.0, "num_lps must be an integer"),
+            ("num_videos", 2.0, "num_videos must be an integer"),
+            ("msg_latency_ms", 20.5, "msg_latency_ms must be an integer"),
+            ("num_lps", "2", "num_lps must be an integer"),
+            ("channels", True, "channels must be an integer"),
+            ("seed", 1.0, "seed must be an integer"),
+            ("arrival_rate_per_min", "6", "arrival_rate_per_min must be a number"),
+            ("random_cache_prob", True, "random_cache_prob must be a number"),
+            ("horizon_minutes", None, "horizon_minutes must be a number"),
+        ],
+    )
+    def test_value_of_the_wrong_type_rejected(self, name, value, message):
+        # A float in an int field once validated, then broke range() or put
+        # fractional ms into integer-ms time; a str made validation raise.
+        assert validate_config(dataclasses.replace(SimConfig(), **{name: value})) == [message]
+
+    @pytest.mark.parametrize("name,value", [("num_lps", 2.0), ("num_videos", 2.0), ("msg_latency_ms", 20.5)])
+    def test_run_refuses_a_float_in_an_int_field(self, name, value):
+        with pytest.raises(SimulationError, match=f"{name} must be an integer"):
+            run_simulation(dataclasses.replace(SimConfig(), **{name: value}), SchemeId.PROXY_CACHE)
+
+    def test_int_in_a_float_field_is_a_number(self):
+        assert validate_config(SimConfig(bandwidth_mbps=54, arrival_rate_per_min=6, horizon_minutes=300)) == []
 
 
     @pytest.mark.parametrize(

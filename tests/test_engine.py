@@ -26,9 +26,10 @@ from sbvod.engine import (
     classify_arrival,
     run_simulation,
 )
-from sbvod.sb_scheduler import BroadcastPlan
 
 MIN = MS_PER_MINUTE
+# The segment of the 60-minute video on 5 channels.
+D = 12 * MIN
 
 
 def short_cfg(**overrides):
@@ -39,32 +40,33 @@ def short_cfg(**overrides):
 
 class TestClassifyArrival:
     def test_at_epoch_is_on_time(self):
-        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 0)
+        cls = classify_arrival(D, 0)
         assert cls.on_time and cls.missed_ms == 0
 
     def test_five_minutes_in_is_late_on_channel_one(self):
         # Channel 1 opened segment 1 at 0; channel 2 opens it at 12 min.
-        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 5 * MIN)
+        cls = classify_arrival(D, 5 * MIN)
         assert not cls.on_time
         assert cls.missed_ms == 5 * MIN
         assert cls.wait_ms == 7 * MIN
 
     def test_slot_boundary_is_on_time_next_channel(self):
-        cls = classify_arrival(BroadcastPlan(5, 12 * MIN), 12 * MIN)
+        cls = classify_arrival(D, 12 * MIN)
         assert cls.on_time and cls.wait_ms == 0
 
 
 class TestRunPlan:
     @pytest.mark.parametrize("fields, plan", [
-        ({}, BroadcastPlan(5, 720_000)),
-        ({"video_length_minutes": 30}, BroadcastPlan(5, 360_000)),
+        ({}, (720_000, 60 * MIN)),
+        ({"video_length_minutes": 30}, (360_000, 30 * MIN)),
         # K = L * 60000 channels cut the video into 1 ms segments.
-        ({"channels": 60 * MIN, "consumption_rate_mbps": 1e-5}, BroadcastPlan(60 * MIN, 1)),
+        ({"channels": 60 * MIN, "consumption_rate_mbps": 1e-5}, (1, 60 * MIN)),
     ], ids=["60-over-5", "30-over-5", "1ms-segments"])
     def test_run_splits_the_video_into_one_segment_per_channel(self, fields, plan):
         cfg = SimConfig(**fields)
         assert validate_config(cfg) == []
-        assert Simulation(cfg, SchemeId.NO_CACHE).plan == plan
+        sim = Simulation(cfg, SchemeId.NO_CACHE)
+        assert (sim.segment_ms, sim.cycle_ms) == plan
 
 
 class TestStreamPool:
@@ -353,7 +355,7 @@ class TestRunMetrics:
         def counting(table, lps_id, client_id):
             nonlocal queued
             c = sim.clients[client_id]
-            if c.arrival_ms > cfg.warmup_ms:
+            if c.arrival_ms > sim.warmup_ms:
                 grants[lps_id] += 1
                 queued += sim.now > c.arrival_ms
             return record(table, lps_id, client_id)
@@ -410,7 +412,7 @@ class TestHolderExclusivity:
         sim.clients[1] = holder
         sim.arrived = 1
         sim._begin_playback(holder)
-        assert holder.playback_start_ms + sim.plan.cycle_ms == 3_600_000
+        assert holder.playback_start_ms + sim.cycle_ms == 3_600_000
         sim._schedule(arrival_ms, sim._on_arrival)
         assert sim.step()
         return sim, sim.clients[2], trace
@@ -477,7 +479,7 @@ def test_free_holder_grids_track_eligible_holders(scheme):
         # A client leaves as its playback ends, not later.
         for c in sim.clients.values():
             if c.playback_start_ms is not None:
-                assert c.playback_start_ms + sim.plan.cycle_ms >= sim.now, (sim.now, c.id)
+                assert c.playback_start_ms + sim.cycle_ms >= sim.now, (sim.now, c.id)
         for vid, grid in sim.holders.items():
             want = {c.id for c in sim.clients.values() if c.video_id == vid and c.holder}
             assert _grid_ids(grid, sim.clients) == want, (sim.now, vid)
@@ -567,16 +569,16 @@ def test_strategies_only_read_the_run(scheme):
     # The engine hands a strategy the live run; deciding a late arrival
     # must leave every flag, grid, pool, proxy count and the clock as it was.
     sim = _step_until(_started(_BUSY_CFG, scheme),
-                      lambda s: _busy(s) and not classify_arrival(s.plan, s.now).on_time)
+                      lambda s: _busy(s) and not classify_arrival(s.segment_ms, s.now).on_time)
     newcomer = ClientRecord(id=sim.arrived + 1, arrival_ms=sim.now, position=(0.0, 0.0), video_id=1)
     sim.clients[newcomer.id] = newcomer
     if sim.index is not None:
         sim.index.add(newcomer.id, newcomer.position)
     before = _run_state(sim)
-    out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.plan, sim.now))
+    out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.segment_ms, sim.now))
     assert _run_state(sim) == before
     assert out == caching.acquire_first_segment(scheme, newcomer, sim,
-                                                classify_arrival(sim.plan, sim.now))
+                                                classify_arrival(sim.segment_ms, sim.now))
 
 
 class TestInvariantFaults:

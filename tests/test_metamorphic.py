@@ -47,3 +47,41 @@ def test_scaling_the_area_and_the_radio_range_together_changes_nothing(seed, sch
         scaled = replace(base, lf_radius_m=base.lf_radius_m * factor,
                          client_range_m=base.client_range_m * factor)
         assert _counts(scaled, scheme) == want, f"x{factor:g}"
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_proxy_with_no_latency_is_the_forwarder(seed, capacity):
+    # With no hop cost the proxy's extra hop is free, and the one proxy's
+    # pool queues and refuses exactly as the forwarder's does.
+    cfg = _cfg(seed, msg_latency_ms=0, num_lps=1, lps_capacity=capacity)
+    proxy = run_simulation(cfg, SchemeId.PROXY_CACHE)
+    por = run_simulation(cfg, SchemeId.POR_CACHE)
+    assert (proxy.delay_sum_ms, proxy.failures, proxy.attempts) == (por.delay_sum_ms, por.failures, por.attempts)
+    assert proxy.outcome_counts["lps"] == por.outcome_counts["por"]
+    assert por.failures > 0  # refusals happen, so the pools are exercised
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_a_proxy_fetch_costs_one_hop_more_than_the_forwarder(seed):
+    # A zero latency hides hop counts, so this twin keeps it. Pools that never
+    # fill leave only the hops to differ: a proxy fetch pays one latency more.
+    cfg = _cfg(seed, lps_capacity=10**6)
+    proxy = run_simulation(cfg, SchemeId.PROXY_CACHE)
+    por = run_simulation(cfg, SchemeId.POR_CACHE)
+    assert proxy.failures == por.failures == 0
+    assert proxy.outcome_counts["lps"] == por.outcome_counts["por"] > 0
+    assert proxy.delay_sum_ms == por.delay_sum_ms + cfg.msg_latency_ms * proxy.outcome_counts["lps"]
+
+
+@pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.NO_CACHE])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scaling_both_rates_together_changes_nothing(seed, scheme):
+    # A fetch reads only their ratio, and the channel budget only their
+    # quotient; a power-of-two factor leaves both exact. No-cache reads neither.
+    base = _cfg(seed)
+    want = _counts(base, scheme)
+    for factor in (2.0, 2.0**20):
+        scaled = replace(base, bandwidth_mbps=base.bandwidth_mbps * factor,
+                         consumption_rate_mbps=base.consumption_rate_mbps * factor)
+        assert _counts(scaled, scheme) == want, f"x{factor:g}"
