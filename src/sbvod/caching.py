@@ -16,7 +16,8 @@ applies it (marking uploads, queueing, recording balancer requests).
 Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
 around a point holds every client in range of it, and the 5x5 block around
 a client every holder in range of an in-range forwarder, so a relay lists
-that block just once.
+that block just once. Cells come nearest first, and a search skips a cell
+whose bounding box lies farther than the best client found so far.
 """
 
 from __future__ import annotations
@@ -115,29 +116,64 @@ class AcquisitionOutcome(_OutcomeFields):
                                    lps_id, slot_wait_ms, queue_wait_ms, fetch_ms))
 
 
+class _Cell(list):
+    """A grid cell's ``(x, y, id)`` entries, and a box around every position added to it.
+
+    ``remove`` leaves the box as it is: one too large still bounds the entries.
+    """
+
+    __slots__ = ("x0", "x1", "y0", "y1")
+
+
+def _ring_order(reach: int) -> list[tuple[int, int]]:
+    """Key offsets of the block ``reach`` cells around a cell, the centre first, corners last."""
+    block = [(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
+    return sorted(block, key=lambda d: d[0] * d[0] + d[1] * d[1])
+
+
+_BLOCKS = {1: _ring_order(1), 2: _ring_order(2)}
+
+
 class NeighborIndex:
     """Uniform-grid spatial index over a set of present clients.
 
     Cells are a hair wider than the radio range, so every client within
     range of a query point sits in one of the nine cells around it (the
     derivation sits with ``domain._MAX_GRID_CELLS``). A cell lists an
-    ``(x, y, id)`` entry per client, at its position as added. Lookups return
-    candidate cells; exact range filtering is the caller's job. The engine
-    keeps one per video over its present holders, busy or not, and, under
-    dsc only, one over every present client for the relay search.
+    ``(x, y, id)`` entry per client, at its position as added, and keeps a
+    box around those positions. Lookups return candidate cells; exact range
+    filtering is the caller's job. The engine keeps one per video over its
+    present holders, busy or not, and, under dsc only, one over every present
+    client for the relay search.
     """
 
     def __init__(self, range_m: float):
         if range_m <= 0:
             raise ValueError("range must be positive")
         self.cell_m = range_m * (1.0 + _CELL_SLACK)
-        self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+        self._cells: dict[tuple[int, int], _Cell] = {}
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (math.floor(pos[0] / self.cell_m), math.floor(pos[1] / self.cell_m))
 
     def add(self, cid: int, pos: tuple[float, float]) -> None:
-        self._cells.setdefault(self._key(pos), []).append((pos[0], pos[1], cid))
+        x, y = pos
+        key = self._key(pos)
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = _Cell()
+            cell.x0 = cell.x1 = x
+            cell.y0 = cell.y1 = y
+        else:
+            if x < cell.x0:
+                cell.x0 = x
+            elif x > cell.x1:
+                cell.x1 = x
+            if y < cell.y0:
+                cell.y0 = y
+            elif y > cell.y1:
+                cell.y1 = y
+        cell.append((x, y, cid))
 
     def remove(self, cid: int, pos: tuple[float, float]) -> None:
         key = self._key(pos)
@@ -149,17 +185,17 @@ class NeighborIndex:
         if not cell:
             del self._cells[key]
 
-    def cells_near(self, pos: tuple[float, float], reach: int = 1
-                   ) -> list[list[tuple[float, float, int]]]:
-        """The cells of the block ``reach`` cells around ``pos`` that hold an entry.
+    def cells_near(self, pos: tuple[float, float], reach: int = 1) -> list[_Cell]:
+        """The cells of the block ``reach`` (1 or 2) cells around ``pos`` that hold an entry.
 
-        The default 3x3 block holds every client within range. A cell is
-        dropped when its last entry leaves, so a key present is a cell in use.
+        The default 3x3 block holds every client within range. Cells come
+        nearest first: the centre, then the edge cells, then the corners. A
+        cell is dropped when its last entry leaves, so a key present is a
+        cell in use.
         """
         cx, cy = self._key(pos)
         get = self._cells.get
-        return [cell for x in range(cx - reach, cx + reach + 1)
-                for y in range(cy - reach, cy + reach + 1) if (cell := get((x, y))) is not None]
+        return [cell for dx, dy in _BLOCKS[reach] if (cell := get((cx + dx, cy + dy))) is not None]
 
 
 def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
@@ -179,14 +215,19 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
     """(id, value) of the least (dist2, id) client in ``cells`` that serves, or None.
 
-    ``cells`` (lists of ``(x, y, id)`` entries, such as ``grid.cells_near(pos)``)
+    ``cells`` (a ``NeighborIndex``'s cells, such as ``grid.cells_near(pos)``)
     must hold every client in range of ``pos``. A client other than
     ``skip_id`` serves if it is in radio range of ``pos``, stays past
     ``until_ms``, when the transfer ends, and ``serves(record)`` gives a
     value that is not None. One pass keeps the least (dist2, id) so far and
     reads the record and calls ``serves`` only for a candidate that would
     replace it; ``serves`` only reads the world, so this is the first
-    serving client in (dist2, id) order.
+    serving client in (dist2, id) order, whatever order the cells come in.
+
+    A cell is skipped whole when the squared distance to its box exceeds the
+    best so far. Rounded subtraction, product and sum are monotone, so no
+    entry's computed dist2 is below the bound computed from the box; an
+    entry at exactly the bound may still win on its id, so the test is strict.
     """
     # A client leaves as its playback ends, so it serves only if that is strictly
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
@@ -198,12 +239,18 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
     r = world.cfg.client_range_m
     best_d2, best_id, best_value = r * r, None, None
     for cell in cells:
+        bx = x - cell.x0 if x < cell.x0 else x - cell.x1 if x > cell.x1 else 0.0
+        by = y - cell.y0 if y < cell.y0 else y - cell.y1 if y > cell.y1 else 0.0
+        if bx * bx + by * by > best_d2:
+            continue
         for px, py, cid in cell:
             # Products, not ``** 2``: libm's pow may round differently by platform.
             dx = x - px
             dy = y - py
             d2 = dx * dx + dy * dy
-            if ((d2 < best_d2 or d2 == best_d2 and (best_id is None or cid < best_id))
+            if d2 > best_d2:
+                continue
+            if ((d2 < best_d2 or best_id is None or cid < best_id)
                     and cid != skip_id and (rec := clients[cid]).playback_start_ms > leave_by
                     and (value := serves(rec)) is not None):
                 best_d2, best_id, best_value = d2, cid, value

@@ -470,15 +470,16 @@ def _visit_order_worlds():
     """(newcomer, people) where the grid visits a relay via before the one that must win.
 
     The newcomer sits in cell (0, 0) and each via has its own holder out of
-    the newcomer's range. Cells are visited column by column from x = -1.
+    the newcomer's range. Cells are visited nearest first: cell (0, 0), then
+    the edge cells from x = -1, then the corners.
     """
     newcomer = client(1, 12.5, 12.5)
 
-    def at(cid, x, holder=False):
-        return client(cid, x, 12.5, holder=holder, playback_start_ms=10 * MIN)
+    def at(cid, x, holder=False, y=12.5):
+        return client(cid, x, y, holder=holder, playback_start_ms=10 * MIN)
 
-    # Via 2, in cell (-1, 0), is 22.5 m away; via 3, in cell (0, 0), is 10 m away.
-    yield newcomer, [at(2, -10.0), at(4, -30.0, True), at(3, 22.5), at(5, 42.5, True)]
+    # Via 3, in cell (0, 0), is 17 m away; via 2, in cell (1, 0), is 13.5 m away.
+    yield newcomer, [at(3, 0.5, y=0.5), at(5, -16.5, True, y=0.5), at(2, 26.0), at(4, 46.0, True)]
     # The two vias tie at 15 m in cells (-1, 0) and (1, 0): via 2 wins either way round.
     for left, right in ((2, 3), (3, 2)):
         yield newcomer, [at(left, -2.5), at(4, -22.5, True), at(right, 27.5), at(5, 47.5, True)]
@@ -530,6 +531,50 @@ def test_whole_run_choices_match_sort_every_candidate_reference(monkeypatch):
     monkeypatch.setattr(caching, "acquire_first_segment", checked)
     run_simulation(cfg, SchemeId.DSC_CACHE)
     assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 100
+
+
+_SPOT = st.integers(-24, 24).map(lambda k: 2.5 * k) | st.floats(-60.0, 60.0)
+
+
+@st.composite
+def _thinned_grid(draw):
+    """(query, skip, people): clients around a query, each ``(id, x, y, gone, busy, start)``.
+
+    Most coordinates sit on a 2.5 m lattice, for equal-distance ties and
+    pairs at exactly the range. Every client holds, and the gone ones leave
+    after all have joined, so a cell's box can be wider than its entries.
+    """
+    ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=14))
+    people = [(cid, draw(_SPOT), draw(_SPOT), draw(st.booleans()), draw(st.booleans()),
+               draw(st.sampled_from([5 * MIN, 10 * MIN]))) for cid in ids]
+    return (draw(_SPOT), draw(_SPOT)), draw(st.sampled_from([0, *ids])), people
+
+
+@given(_thinned_grid())
+# Id 5 ties id 3 at 10 m. Id 3 sits in cell (-1, 0), visited after the
+# query's own cell, whose box bound then equals the best dist2 exactly.
+@example(((5.0, 10.0), 0, [(5, 15.0, 10.0, False, False, 10 * MIN),
+                           (3, -5.0, 10.0, False, False, 10 * MIN)]))
+@settings(max_examples=300)
+def test_pruned_search_is_the_reference_first_server(case):
+    q, skip, people = case
+    world = dsc_world([client(cid, x, y, holder=True, uploading=busy, playback_start_ms=start)
+                       for cid, x, y, _gone, busy, start in people], now_ms=65 * MIN)
+    for cid, x, y, gone, *_ in people:
+        if gone:
+            world.index.remove(cid, (x, y))
+            world.holders[1].remove(cid, (x, y))
+            del world.clients[cid]
+    # A playback that started at 5 min ends at 65 min, as the transfer would.
+    ranked = _ref_candidates(world, q, skip, world.now)
+    free = caching._nearest(world, world.holders[1].cells_near(q), q, skip, world.now, caching._free)
+    assert free == next(((cid, True) for _d2, cid, rec in ranked if not rec.uploading), None)
+
+    def odd(rec):
+        return rec.id if rec.id % 2 else None
+
+    found = caching._nearest(world, world.index.cells_near(q), q, skip, world.now, odd)
+    assert found == next(((cid, cid) for _d2, cid, _rec in ranked if cid % 2), None)
 
 
 class TestRelaySearchCost:
