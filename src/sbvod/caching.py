@@ -98,7 +98,9 @@ class AcquisitionOutcome(_OutcomeFields):
     ``slot_wait_ms``.
 
     Immutable, since the engine shares one on-time outcome between clients.
-    ``__new__`` checks the arguments, then builds the tuple itself.
+    ``__new__`` checks the arguments, then builds the tuple itself. The
+    strategies below pass every field by position, in field order, since
+    keywords cost more per call.
     """
 
     __slots__ = ()
@@ -288,12 +290,8 @@ def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) ->
     # Direct-search schemes spend one round; the relay scheme also probes a
     # forwarding neighbor. No-cache never probes, so it never fails.
     hops = (2 if scheme is SchemeId.DSC_CACHE else 1) if failed else 0
-    return AcquisitionOutcome(
-        source_kind=SourceKind.CHANNEL_SLOT,
-        startup_delay_ms=wait_ms + hops * latency,
-        failed=failed,
-        slot_wait_ms=wait_ms,
-    )
+    return AcquisitionOutcome(SourceKind.CHANNEL_SLOT, wait_ms + hops * latency, failed,
+                              None, None, None, wait_ms)
 
 
 def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
@@ -317,10 +315,9 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms
     latency = world.cfg.msg_latency_ms
-    fetch_ms = fetch_duration_ms(world.cfg, arrival.missed_ms)
-
     if scheme is SchemeId.NO_CACHE:
         return _slot_outcome(scheme, wait_ms, latency, failed=False)
+    fetch_ms = fetch_duration_ms(world.cfg, arrival.missed_ms)
 
     if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
         # A transfer ends its startup delay (two hops, three via a relay)
@@ -328,23 +325,14 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
         found = _nearest(world, world.holders[client.video_id].cells_near(client.position),
                          client.position, client.id, world.now + 2 * latency + fetch_ms, _free)
         if found is not None:
-            return AcquisitionOutcome(
-                source_kind=SourceKind.NEIGHBOR,
-                startup_delay_ms=2 * latency,
-                holder_id=found[0],
-                fetch_ms=fetch_ms,
-            )
+            return AcquisitionOutcome(SourceKind.NEIGHBOR, 2 * latency, False, found[0],
+                                      None, None, 0, 0, fetch_ms)
         if scheme is SchemeId.DSC_CACHE:
             relay = _find_relay(world, client, world.now + 3 * latency + fetch_ms)
             if relay is not None:
                 via, holder = relay
-                return AcquisitionOutcome(
-                    source_kind=SourceKind.RELAY,
-                    startup_delay_ms=3 * latency,
-                    holder_id=holder,
-                    via_id=via,
-                    fetch_ms=fetch_ms,
-                )
+                return AcquisitionOutcome(SourceKind.RELAY, 3 * latency, False, holder, via,
+                                          None, 0, 0, fetch_ms)
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
 
     if scheme is SchemeId.POR_CACHE:
@@ -357,13 +345,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
     queue_wait = world.pools[lps_id].projected_wait(world.now)
     if queue_wait > wait_ms:
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
-    return AcquisitionOutcome(
-        source_kind=kind,
-        startup_delay_ms=hops * latency + queue_wait,
-        lps_id=lps_id,
-        queue_wait_ms=queue_wait,
-        fetch_ms=fetch_ms,
-    )
+    return AcquisitionOutcome(kind, hops * latency + queue_wait, False, None, None, lps_id,
+                              0, queue_wait, fetch_ms)
 
 
 def on_playback_started(scheme: SchemeId, cfg: SimConfig, rng) -> bool:

@@ -20,13 +20,13 @@ seed, so a run is a pure function of (config, scheme).
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from heapq import heappop, heappush, heapreplace
 from typing import Callable, NamedTuple, TextIO
 
 from . import balancer, caching
@@ -103,7 +103,8 @@ class MetricsReport:
     def add(self, out: AcquisitionOutcome) -> None:
         """Count one arrival."""
         self.delay_sum_ms += out.startup_delay_ms
-        self.outcome_counts[out.source_kind.value] += 1
+        # ``_value_``, not the ``value`` descriptor: 0.1 µs a count, not 0.4 (CPython 3.11).
+        self.outcome_counts[out.source_kind._value_] += 1
         if out.lps_id is not None:
             self.lps_requests[out.lps_id] += 1
         self.failures += out.failed
@@ -160,9 +161,9 @@ class StreamPool:
         """Hold the earliest slot, reusing one that fell free, until ``end_ms``; returns the grant."""
         ends = self._ends
         if len(ends) < self.capacity and (not ends or ends[0] > now_ms):
-            heapq.heappush(ends, end_ms)
+            heappush(ends, end_ms)
             return now_ms
-        grant_ms = max(now_ms, heapq.heapreplace(ends, end_ms))
+        grant_ms = max(now_ms, heapreplace(ends, end_ms))
         if grant_ms > now_ms:
             self._pending.append(client_id)
         return grant_ms
@@ -239,11 +240,11 @@ class Simulation:
 
     def _schedule(self, time_ms: int, handler: Callable, client: ClientRecord | None = None) -> None:
         self._seq += 1
-        heapq.heappush(self._heap, (time_ms, self._seq, handler, client))
+        heappush(self._heap, (time_ms, self._seq, handler, client))
 
     def _trace(self, kind: str, client_id: int, detail: str = "") -> None:
-        if self.trace is not None:
-            self.trace.write(f"{self.now} {kind} client={client_id} {detail}\n".rstrip() + "\n")
+        """One trace line; callers test ``self.trace is not None`` first."""
+        self.trace.write(f"{self.now} {kind} client={client_id} {detail}\n".rstrip() + "\n")
 
     # -- main loop --------------------------------------------------------
 
@@ -259,7 +260,7 @@ class Simulation:
         """Process one event; returns False once the heap is empty."""
         if not self._heap:
             return False
-        time_ms, _seq, handler, client = heapq.heappop(self._heap)
+        time_ms, _seq, handler, client = heappop(self._heap)
         if time_ms < self.now:
             raise SimulationError("event time went backwards")
         self.now = time_ms
@@ -279,8 +280,8 @@ class Simulation:
         self._schedule_next_arrival(from_ms=self.now)
         self.arrived += 1
         cid = self.arrived
-        c = ClientRecord(id=cid, arrival_ms=self.now, position=self._draw_position(),
-                         video_id=self._draw_video())
+        # Positional: id, arrival_ms, position, video_id.
+        c = ClientRecord(cid, self.now, self._draw_position(), self._draw_video())
         self.clients[cid] = c
         if self.index is not None:
             self.index.add(cid, c.position)
@@ -342,13 +343,15 @@ class Simulation:
     def _on_slot_start(self, c: ClientRecord) -> None:
         if c.state is not ClientState.AWAITING_SLOT:
             raise SimulationError(f"client {c.id} hit a slot in state {c.state}")
-        self._trace("slot_start", c.id)
+        if self.trace is not None:
+            self._trace("slot_start", c.id)
         self._begin_playback(c)
 
     def _on_queue_grant(self, c: ClientRecord) -> None:
         if self.pools[c.fetch.lps_id].pop_pending() != c.id:
             raise SimulationError("queue grant out of FIFO order")
-        self._trace("queue_grant", c.id)
+        if self.trace is not None:
+            self._trace("queue_grant", c.id)
         self._grant_stream(c)
 
     def _on_fetch_complete(self, c: ClientRecord) -> None:
@@ -359,7 +362,8 @@ class Simulation:
             holder.uploading = False
         elif c.fetch.source_kind is SourceKind.LPS:
             balancer.release_request(self.lps_table, c.fetch.lps_id, c.id)
-        self._trace("fetch_complete", c.id)
+        if self.trace is not None:
+            self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 
     def _begin_playback(self, c: ClientRecord) -> None:
@@ -379,7 +383,8 @@ class Simulation:
             self.holders[c.video_id].remove(c.id, c.position)
         del self.clients[c.id]
         self.departed += 1
-        self._trace("departure", c.id)
+        if self.trace is not None:
+            self._trace("departure", c.id)
         if self.arrived != self.departed + len(self.clients):
             raise SimulationError("client conservation violated")
 

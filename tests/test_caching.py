@@ -555,7 +555,7 @@ def _thinned_grid(draw):
 # query's own cell, whose box bound then equals the best dist2 exactly.
 @example(((5.0, 10.0), 0, [(5, 15.0, 10.0, False, False, 10 * MIN),
                            (3, -5.0, 10.0, False, False, 10 * MIN)]))
-@settings(max_examples=300)
+@settings(max_examples=200)
 def test_pruned_search_is_the_reference_first_server(case):
     q, skip, people = case
     world = dsc_world([client(cid, x, y, holder=True, uploading=busy, playback_start_ms=start)

@@ -1,7 +1,7 @@
 """Whole-run metamorphic relations: pairs of configs whose runs must agree.
 
 Each relation holds for any random stream, so it checks the simulator
-without pinning a number. The runs are short (150 minutes at 10
+without pinning a number. Most runs are short (150 minutes at 10
 arrivals/min over three videos) but long enough that neighbour hits,
 relays, cache retention and fallbacks all occur.
 """
@@ -85,3 +85,18 @@ def test_scaling_both_rates_together_changes_nothing(seed, scheme):
         scaled = replace(base, bandwidth_mbps=base.bandwidth_mbps * factor,
                          consumption_rate_mbps=base.consumption_rate_mbps * factor)
         assert _counts(scaled, scheme) == want, f"x{factor:g}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_ms_segments_put_every_arrival_on_a_slot(seed):
+    # With D = 1 ms a segment-1 slot opens at every integer-ms arrival, so no
+    # scheme acquires anything: every run is no-cache's, with no delay at all.
+    # Only this config runs the engine's on-time branch.
+    cfg = SimConfig(video_length_minutes=1, channels=60000, bandwidth_mbps=1e9,
+                    arrival_rate_per_min=10.0, horizon_minutes=120.0, seed=seed)
+    want = _counts(cfg, SchemeId.NO_CACHE)
+    for scheme in SchemeId:
+        assert _counts(cfg, scheme) == want, scheme
+    delay_sum_ms, failures, outcomes, _lps = want
+    assert delay_sum_ms == failures == 0
+    assert outcomes["channel_slot"] == sum(outcomes.values()) > 0
