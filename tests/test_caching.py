@@ -555,6 +555,9 @@ def _thinned_grid(draw):
 # query's own cell, whose box bound then equals the best dist2 exactly.
 @example(((5.0, 10.0), 0, [(5, 15.0, 10.0, False, False, 10 * MIN),
                            (3, -5.0, 10.0, False, False, 10 * MIN)]))
+# Id 2, the only one in range, widens its cell's box after id 1 made it.
+@example(((30.0, 10.0), 0, [(1, 2.0, 10.0, False, False, 10 * MIN),
+                            (2, 20.0, 10.0, False, False, 10 * MIN)]))
 @settings(max_examples=200)
 def test_pruned_search_is_the_reference_first_server(case):
     q, skip, people = case

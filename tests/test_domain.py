@@ -150,6 +150,18 @@ class TestValidateConfig:
             "channels must be at least 1"
         ]
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("num_videos", 0, "num_videos must be at least 1"),
+            ("num_lps", 0, "num_lps must be at least 1"),
+            ("lps_capacity", 0, "lps_capacity must be at least 1"),
+            ("msg_latency_ms", -1, "msg_latency_ms must be non-negative"),
+        ],
+    )
+    def test_value_below_its_floor_rejected(self, field, value, message):
+        assert validate_config(dataclasses.replace(SimConfig(), **{field: value})) == [message]
+
     def test_segment_divisibility(self):
         bad = dataclasses.replace(SimConfig(), channels=7)  # 60 min / 7 is not whole ms
         msgs = validate_config(bad)

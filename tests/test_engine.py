@@ -527,7 +527,8 @@ def _run_state(sim):
         grids[None] = sim.index
     return (
         {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
-        {vid: {key: list(cell) for key, cell in grid._cells.items()} for vid, grid in grids.items()},
+        {vid: {key: (list(cell), cell.x0, cell.x1, cell.y0, cell.y1) for key, cell in grid._cells.items()}
+         for vid, grid in grids.items()},
         [(list(pool._ends), list(pool._pending)) for pool in sim.pools.values()],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
         (sim.now, sim._seq, len(sim._heap)),
