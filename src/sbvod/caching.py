@@ -150,8 +150,6 @@ class NeighborIndex:
     """
 
     def __init__(self, range_m: float):
-        if range_m <= 0:
-            raise ValueError("range must be positive")
         self.cell_m = range_m * (1.0 + _CELL_SLACK)
         self._cells: dict[tuple[int, int], _Cell] = {}
 
@@ -337,10 +335,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     if scheme is SchemeId.POR_CACHE:
         kind, lps_id, hops = SourceKind.POR, None, 2
-    elif scheme is SchemeId.PROXY_CACHE:
-        kind, lps_id, hops = SourceKind.LPS, _balancer.assign_lps(world.lps_table), 3
     else:
-        raise ValueError(f"unhandled scheme {scheme!r}")
+        kind, lps_id, hops = SourceKind.LPS, _balancer.assign_lps(world.lps_table), 3
 
     queue_wait = world.pools[lps_id].projected_wait(world.now)
     if queue_wait > wait_ms:

@@ -489,6 +489,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"sbvod: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

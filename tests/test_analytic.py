@@ -393,6 +393,8 @@ _NAN_CASES = {
     "cache-capacity": (lambda v, p: place_cache(v, math.nan), "cache_capacity_bits must be non-negative"),
     "reservation": (lambda v, p: select_broadcast_videos(v, p, math.nan, 1),
                     "reserved_broadcast_bits must be non-negative"),
+    "lps-channels": (lambda v, p: select_broadcast_videos(v, p, 0.0, math.nan),
+                     "lps_channels must be at least 1"),
     "arrival-rate": (lambda v, p: dedicated_stream_analysis(v, p, math.nan, 54e6, 60.0),
                      "lambda_per_sec must be non-negative"),
     "bandwidth": (lambda v, p: dedicated_stream_analysis(v, p, 0.1, math.nan, 60.0),

@@ -58,6 +58,12 @@ class TestParseArgs:
         err = capsys.readouterr().err
         assert "proxy-cache" in err and "no-cache" in err
 
+    def test_bad_sweep_list_exits_with_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(["experiment", "--out", "x", "--sweep", "4,x"])
+        assert exc.value.code == 2
+        assert "bad sweep list '4,x'" in capsys.readouterr().err
+
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit) as exc:
             parse_args([])
@@ -105,8 +111,10 @@ class TestSpecValidation:
          "arrival_rate_per_min must be positive"),
         ("custom", "video_length_minutes", (35.0, 30.0), SimConfig(channels=7),
          "video_length_minutes = 30 does not split into 7 equal segments"),
+        ("custom", "arrival_rate_per_min", (), SimConfig(), "sweep values must be non-empty"),
+        ("custom", "seed", (1.0,), SimConfig(), "unsupported sweep variable 'seed'"),
     ], ids=["fractional-length", "values-print-alike", "repeated-value", "sweep-var-of-another-experiment",
-            "negative-rate", "length-that-does-not-split"])
+            "negative-rate", "length-that-does-not-split", "no-values", "unsupported-sweep-var"])
     def test_api_spec_checks_every_sweep_rule(self, tmp_path, name, sweep_var, values, base, message):
         # Building the spec raises, so no run can start.
         with pytest.raises(ConfigError, match=message):
@@ -309,6 +317,10 @@ class TestMain:
         code = main(["experiment", "--name", "custom", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "sweep" in capsys.readouterr().err
+
+    def test_simulate_with_two_schemes_is_usage_error(self, capsys):
+        assert main(["simulate", "--scheme", "no,por"]) == 2
+        assert capsys.readouterr().err == "sbvod: simulate takes exactly one --scheme\n"
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -60,6 +60,18 @@ class TestValueTypes:
             qualities=(_quality(prob=0.5), _quality(prob=0.5 + 1e-12, q=2)),
         )
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("length_minutes", 0, "length_minutes must be positive"),
+        ("consumption_rate_mbps", 0, "consumption_rate_mbps must be positive"),
+        ("popularity", 1.5, r"popularity must lie in \[0, 1\]"),
+        ("qualities", (), "a video needs at least one quality level"),
+    ], ids=["length", "rate", "popularity", "no-qualities"])
+    def test_video_rejects_bad_field(self, field, value, message):
+        fields = dict(id=1, length_minutes=60, consumption_rate_mbps=1.5, popularity=0.5,
+                      qualities=(_quality(prob=1.0),))
+        with pytest.raises(ValueError, match=message):
+            VideoSpec(**{**fields, field: value})
+
     def test_video_rejects_duplicate_quality_index(self):
         with pytest.raises(ValueError, match="duplicate q_index"):
             VideoSpec(
