@@ -15,9 +15,12 @@ applies it (marking uploads, queueing, recording balancer requests).
 
 Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
 around a point holds every client in range of it, and the 5x5 block around
-a client every holder in range of an in-range forwarder, so a relay lists
-that block just once. Cells come nearest first, and a search skips a cell
-whose bounding box lies farther than the best client found so far.
+a client every holder in range of an in-range forwarder. A relay walks
+that block once, keeps the free holders within two cells of the client
+that stay long enough, and tests each forwarder against that short list;
+an empty list ends the search. Cells come nearest first, and a search
+skips a cell whose bounding box lies farther than the best client found
+so far.
 """
 
 from __future__ import annotations
@@ -267,17 +270,41 @@ def _find_relay(world: Simulation, client, until_ms: int):
 
     Both must stay present until ``until_ms``, when the relayed transfer ends.
     """
-    # Every holder in range of an in-range via lies in the block two cells
-    # around the client (derivation at ``domain._MAX_GRID_CELLS``), so that
-    # block is listed once for every via; an empty one means no relay. It
-    # lists busy holders too; the holder search skips them.
-    block = world.holders[client.video_id].cells_near(client.position, 2)
-    if not block:
+    # Every holder in range of an in-range via lies within two cells of the
+    # client (derivation at ``domain._MAX_GRID_CELLS``). So the holders there
+    # that are free and stay past until_ms are listed once, for every via,
+    # and none means no relay. A client joins its video's holder grid only
+    # as its playback starts, so the arriving client is never on the list.
+    grid = world.holders[client.video_id]
+    x, y = client.position
+    reach2 = 4.0 * grid.cell_m * grid.cell_m
+    leave_by = until_ms - world.cycle_ms
+    clients = world.clients
+    free = []
+    for cell in grid.cells_near(client.position, 2):
+        for entry in cell:
+            dx = x - entry[0]
+            dy = y - entry[1]
+            if (dx * dx + dy * dy <= reach2 and not (rec := clients[entry[2]]).uploading
+                    and rec.playback_start_ms > leave_by):
+                free.append(entry)
+    if not free:
         return None
+    r = world.cfg.client_range_m
+    r2 = r * r
 
     def via_holder(via):
-        found = _nearest(world, block, via.position, via.id, until_ms, _free)
-        return None if found is None or found[0] == client.id else found[0]
+        # ``_nearest``'s order over the list: the least (dist2, id) in range, other than the via.
+        vx, vy = via.position
+        best_d2, best_id = r2, None
+        for px, py, hid in free:
+            dx = vx - px
+            dy = vy - py
+            d2 = dx * dx + dy * dy
+            if (d2 <= best_d2 and (d2 < best_d2 or best_id is None or hid < best_id)
+                    and hid != via.id):
+                best_d2, best_id = d2, hid
+        return best_id
 
     return _nearest(world, world.index.cells_near(client.position), client.position, client.id,
                     until_ms, via_holder)

@@ -24,9 +24,10 @@ _PROB_TOL = 1e-9
 # 1 - 2**-53, so a gap is at most 53 ln 2 (about 36.74) means, under 2**6:
 # a mean gap up to 2**1017 ms keeps every gap below 2**1023, finite. Grid
 # cell keys stay exact while lf_radius / range is at most 2**52. A relay
-# measures from a via in the client's 3x3 cell block to holders in its
-# 5x5 block, under 4 cells per axis, so squared distances stay below
-# 32 * cell**2, finite up to a range of 2**509 m. A mean delay
+# measures from the client to holders in its 5x5 cell block, under 3 cells
+# per axis, and from an in-range via to the holders it keeps, within two
+# cells of the client, so squared distances stay below 18 * cell**2,
+# finite up to a range of 2**509 m. A mean delay
 # past the float range raises, so latencies stop at 2**53 ms, far inside it.
 # Minute fields become ms that meet floats (buffer bits, video sizes, mean
 # delays), so m * 60000 must convert to a float: 60000 < 2**16, so
@@ -56,6 +57,18 @@ _PROB_TOL = 1e-9
 #   spans at most range / g steps, fewer than a cell's, so the 5x5 block
 #   (reach 2) holds every client in range of one in range of its centre
 #   there too: the relay search scans only that block for holders.
+# - The relay keeps only the holders whose squared distance to the client
+#   computes to at most 4 * cell * cell. Each of the subtraction, the
+#   products and the sum rounds by a factor within 2**-53 of 1, and a
+#   square too small to be normal is off by under 2**-1074, under 2**-74
+#   of range**2. So a squared distance that computes to at most range**2
+#   is at most range**2 * (1 + 2**-50) exactly, a distance under
+#   range * (1 + 2**-51). By the triangle inequality, a holder in range of a
+#   via in range of the client lies under 2 * range * (1 + 2**-51) from
+#   it, and its squared distance computes to under 4 * range**2 *
+#   (1 + 2**-49). 4 * cell * cell computes to over 4 * range**2 *
+#   (1 + 2**-19), so no holder a relay can use is dropped, from 2**-500 m
+#   to 2**509 m, where 4 * cell * cell is about 2**1020, finite.
 _MAX_MEAN_GAP_MS = 2.0**1017
 _MAX_GRID_CELLS = 2.0**52
 _CELL_SLACK = 2.0**-20

@@ -51,10 +51,12 @@ def make_world(clients, now_ms=5 * MIN, lps_counts=None, lps_capacity=20,
     ``lps_counts`` maps proxy ids 1..n to the requests already on each.
     ``pools`` replaces the run's pools it names (the forwarder's under None).
     Only a dsc run has the all-client index, so only its world fills one.
+    The service area is six ranges in radius, 150 m at the default range:
+    no strategy reads it, and every range keeps it a valid config.
     """
-    cfg = SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, consumption_rate_mbps=1.5,
-                    bandwidth_mbps=54.0, random_cache_prob=0.5, lps_capacity=lps_capacity,
-                    num_lps=len(lps_counts) if lps_counts else 2)
+    cfg = SimConfig(msg_latency_ms=LATENCY, client_range_m=range_m, lf_radius_m=6.0 * range_m,
+                    consumption_rate_mbps=1.5, bandwidth_mbps=54.0, random_cache_prob=0.5,
+                    lps_capacity=lps_capacity, num_lps=len(lps_counts) if lps_counts else 2)
     world = Simulation(cfg, scheme)
     world.now = now_ms
     for c in clients:
@@ -373,9 +375,10 @@ class TestDscRelay:
         assert out.startup_delay_ms == 7 * MIN + 2 * LATENCY
 
     def test_relay_at_the_largest_range_stays_finite(self):
-        # The relay measures from via 2, in cell (-1, -1), to holder 3 near
-        # the far corner of cell (2, 2), 3.69 cells apart on each axis: at
-        # the largest range a validated config allows, that is still finite.
+        # The relay measures from the newcomer to holder 3 near the far
+        # corner of cell (2, 2), 2.99 cells out on each axis, and drops it as
+        # beyond two cells; via 2 reaches holder 4. At the largest range a
+        # validated config allows, every squared distance stays finite.
         r = 2.0**509
         cell = NeighborIndex(r).cell_m
         newcomer = client(1)
@@ -522,6 +525,9 @@ def test_whole_run_choices_match_sort_every_candidate_reference(monkeypatch):
     real = caching.acquire_first_segment
 
     def checked(scheme, c, world, arrival):
+        # A client joins its video's holder grid only as its playback starts,
+        # so the relay search never meets the arriving client as a holder.
+        assert c.id not in ids_near(world.holders[c.video_id], c.position, 2)
         out = real(scheme, c, world, arrival)
         got = (out.source_kind, out.holder_id, out.via_id, out.failed, out.startup_delay_ms)
         assert got == _ref_outcome(scheme, c, world)
@@ -580,18 +586,67 @@ def test_pruned_search_is_the_reference_first_server(case):
     assert found == next(((cid, cid) for _d2, cid, _rec in ranked if cid % 2), None)
 
 
-class TestRelaySearchCost:
-    """The relay lists the client's holder block once, whatever the vias."""
+def _outward(v, d):
+    """``v`` one float step further along the sign of ``d``; ``v`` itself when ``d`` is 0."""
+    return math.nextafter(v, math.copysign(math.inf, d)) if d else v
 
-    def test_holder_grid_is_listed_once_for_every_via(self, monkeypatch):
-        # Three vias in range, each with only a busy holder in its range.
-        newcomer = client(1)
-        world = dsc_world([newcomer, client(2, 20.0, 0.0), client(3, -20.0, 0.0),
-                           client(4, 0.0, 20.0),
-                           client(5, 40.0, 0.0, holder=True, uploading=True),
-                           client(6, -40.0, 0.0, holder=True, uploading=True),
-                           client(7, 0.0, 40.0, holder=True, uploading=True)])
-        holders = world.holders[1]
+
+@st.composite
+def _relay_lattice(draw):
+    """(range, newcomer, people) around a relay search, each person ``(id, x, y, holder, busy, start)``.
+
+    Offsets from the newcomer are quarter ranges. Via 2 sits exactly one
+    range out along an axis and holder 3 exactly two, or one float step
+    past. The others sit on the lattice, some a step further out, holders
+    or not, busy or not, staying or leaving. Ranges of 2**-500 m and
+    2**509 m carry the same shapes to the validated extremes.
+    """
+    r = draw(st.sampled_from([25.0, 2.0**-500, 2.0**509]))
+    q = r / 4
+    x0, y0 = draw(st.integers(-8, 8)) * q, draw(st.integers(-8, 8)) * q
+    ax, ay = draw(st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)]))
+    past = draw(st.booleans())
+    hx, hy = x0 + 2 * ax * r, y0 + 2 * ay * r
+    people = [(2, x0 + ax * r, y0 + ay * r, False, False, 10 * MIN),
+              (3, _outward(hx, ax) if past else hx, _outward(hy, ay) if past else hy, True,
+               draw(st.booleans()), draw(st.sampled_from(_STARTS)))]
+    for cid in range(4, 4 + draw(st.integers(0, 8))):
+        dx, dy = draw(st.integers(-10, 10)), draw(st.integers(-10, 10))
+        x, y = x0 + dx * q, y0 + dy * q
+        if draw(st.booleans()):
+            x, y = _outward(x, dx), _outward(y, dy)
+        people.append((cid, x, y, draw(st.booleans()), draw(st.booleans()),
+                       draw(st.sampled_from(_STARTS))))
+    return r, (x0, y0), people
+
+
+@given(_relay_lattice())
+@example((25.0, (0.0, 0.0), [(2, 25.0, 0.0, False, False, 10 * MIN),
+                             (3, 50.0, 0.0, True, False, 10 * MIN)]))
+@example((2.0**-500, (0.0, 0.0), [(2, 0.0, -(2.0**-500), False, False, 10 * MIN),
+                                  (3, 0.0, -(2.0**-499), True, False, 10 * MIN)]))
+@example((2.0**509, (2.0**507, 0.0), [(2, 2.0**507 + 2.0**509, 0.0, False, False, 10 * MIN),
+                                      (3, 2.0**507 + 2.0**510, 0.0, True, False, 10 * MIN)]))
+@settings(max_examples=300)
+def test_relay_keeps_every_holder_a_via_reaches(case):
+    # The relay drops holders more than two cells from the newcomer before
+    # trying any via; the reference scans every present client instead.
+    r, at, people = case
+    newcomer = client(1, *at, playback_start_ms=None)
+    world = dsc_world([newcomer] + [client(cid, x, y, holder=held, uploading=busy,
+                                           playback_start_ms=start)
+                                    for cid, x, y, held, busy, start in people],
+                      now_ms=65 * MIN, range_m=r)
+    until = world.now + 3 * LATENCY + _FETCH_5_MIN
+    assert caching._find_relay(world, newcomer, until) == _ref_find_relay(world, newcomer, 1, until)
+
+
+class TestRelaySearchCost:
+    """The relay lists the client's holder block once, and searches only for a usable holder."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """([grid listed], [point searched]): each ``cells_near`` and ``_nearest`` call, in order."""
         listed, searched = [], []
         cells_near, nearest = NeighborIndex.cells_near, caching._nearest
 
@@ -605,10 +660,43 @@ class TestRelaySearchCost:
 
         monkeypatch.setattr(NeighborIndex, "cells_near", listing)
         monkeypatch.setattr(caching, "_nearest", searching)
-        assert caching._find_relay(world, newcomer, world.now) is None
-        # One search over the index, then one holder search per via.
-        assert len(searched) == 4
-        assert [grid for grid in listed if grid is holders] == [holders]
+        return listed, searched
+
+    def test_holder_grid_is_listed_once_for_every_via(self, monkeypatch):
+        # Three vias in range; of the holders, only 7, in via 4's range, is free.
+        newcomer = client(1)
+        world = dsc_world([newcomer, client(2, 20.0, 0.0), client(3, -20.0, 0.0),
+                           client(4, 0.0, 20.0),
+                           client(5, 40.0, 0.0, holder=True, uploading=True),
+                           client(6, -40.0, 0.0, holder=True, uploading=True),
+                           client(7, 0.0, 40.0, holder=True)])
+        listed, searched = self.spy(monkeypatch)
+        assert caching._find_relay(world, newcomer, world.now) == (4, 7)
+        # The holder block and the index are each listed once, and the one
+        # search is over the index: each via scans the list of free holders.
+        assert listed == [world.holders[1], world.index]
+        assert searched == [newcomer.position]
+
+    def test_no_usable_holder_never_searches(self, monkeypatch):
+        # Vias 2-4 are in range. Holder 5 is busy, 6 leaves as the transfer
+        # would end, and 7 lies a hair beyond two cells: none is listed.
+        now = 65 * MIN
+        until = now + 3 * LATENCY + _FETCH_5_MIN
+        past = math.nextafter(2.0 * NeighborIndex(25.0).cell_m, math.inf)
+        newcomer = client(1, playback_start_ms=None)
+        world = dsc_world([newcomer, client(2, 20.0, 0.0, playback_start_ms=10 * MIN),
+                           client(3, -20.0, 0.0, playback_start_ms=10 * MIN),
+                           client(4, 0.0, 25.0, playback_start_ms=10 * MIN),
+                           client(5, 40.0, 0.0, holder=True, uploading=True,
+                                  playback_start_ms=10 * MIN),
+                           client(6, -40.0, 0.0, holder=True, playback_start_ms=until - 60 * MIN),
+                           client(7, 0.0, past, holder=True, playback_start_ms=10 * MIN)],
+                          now_ms=now)
+        listed, searched = self.spy(monkeypatch)
+        monkeypatch.delattr(world, "index")
+        assert caching._find_relay(world, newcomer, until) is None
+        assert listed == [world.holders[1]]
+        assert searched == []
 
     def test_no_holder_in_the_block_never_reads_the_index(self, monkeypatch):
         # Holder 3 sits three cells out, beyond the reach of via 2 or any
@@ -805,6 +893,8 @@ class TestNeighborIndex:
             assert 1 in set(ids_near(idx, q))
             if dist2(h, p) <= r2:
                 assert 2 in set(ids_near(idx, q, 2))
+                # And within two cells of q, the relay's bound on its holders.
+                assert dist2(h, q) <= 4.0 * idx.cell_m * idx.cell_m
 
     def test_block_is_superset_of_range(self):
         rng = random.Random(11)

@@ -2,15 +2,18 @@
 
 A refactor that is meant to keep behaviour must keep every byte of these
 outputs: the six-scheme sweep CSV, the single-run report and CSV, one
-event trace per scheme, a long two-scheme trace, and the analytic report
-on each of its branches. When a change is meant to alter an output,
-record the new digest here and say why in CHANGES.md.
+event trace per scheme, a long two-scheme trace, the trace and every
+outcome of a relay-heavy dsc run, and the analytic report on each of its
+branches. When a change is meant to alter an output, record the new
+digest here and say why in CHANGES.md.
 
 Every digest was last re-recorded when each random substream became one
 stdlib MT19937 generator (``random.Random``) in place of a PCG64 one, and
 float sums became ``math.fsum``: Python keeps ``random()``'s sequence for
 an int seed, and an exactly rounded sum, the same on every version, so
-these digests hold on Python 3.10 to 3.13 alike.
+these digests hold on Python 3.10 to 3.13 alike. ``relay-catalog`` was
+recorded later, on the relay search that probed the holders once per
+forwarder, and holds for the search that lists them once.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests
 in the format of ``RECORDED``; with ``--check`` it prints each label whose
@@ -29,7 +32,7 @@ from sbvod import analytic
 from sbvod.caching import SchemeId
 from sbvod.cli import main
 from sbvod.domain import SimConfig, catalog_from_config
-from sbvod.engine import run_simulation
+from sbvod.engine import Simulation, run_simulation
 
 # Three videos and three streams per pool, dense enough that the
 # neighbour, relay, por and lps columns of the sweep are all non-zero.
@@ -51,6 +54,26 @@ _TRACE_CFG = SimConfig(
 _LONG_CFG = SimConfig(
     num_videos=3, arrival_rate_per_min=10.0, horizon_minutes=180.0, warmup_minutes=5.0, seed=3,
 )
+
+# Seven videos leave most in-range clients holding another video, so a
+# dsc run relays often: 112 of 534 counted arrivals in one simulated hour.
+_RELAY_CFG = SimConfig(
+    num_videos=7, arrival_rate_per_min=10.0, client_range_m=25.0, horizon_minutes=60.0,
+    warmup_minutes=5.0, seed=5,
+)
+
+
+class _OutcomeLog(Simulation):
+    """A run that also logs every arrival's outcome: the trace never prints a forwarder."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.outcomes = []
+
+    def _apply_outcome(self, c, out):
+        self.outcomes.append(f"{self.now} client={c.id} {out!r}\n")
+        super()._apply_outcome(c, out)
+
 
 # (label, extra analyze flags): the dedicated report, a broadcast
 # reservation, everything cached, and every uncached item broadcast.
@@ -77,6 +100,7 @@ RECORDED = {
     "analyze-all-broadcast": "ee4cd875bd0dd96077728b0fb369d9d6a165fbda389d416b4e62ca17aa7dc9c4",
     "capacity-reports": "ec6f814970a218a25ea0887517065e82630fb039c5f842b87b07bac862f215b6",
     "trace-long-run": "f9bb58eebc5b6c369afdac9dd3c3774313b6cd1b0921f34c950ae7f011dc9441",
+    "relay-catalog": "794a5cc2fd321d70697f100191ca66ddf9ad72c5bd636e734487ca65cd2ae97f",
 }
 
 
@@ -136,6 +160,11 @@ def golden_digests(tmp_path) -> dict[str, str]:
     for scheme in (SchemeId.ALL_CACHE, SchemeId.DSC_CACHE):
         run_simulation(_LONG_CFG, scheme, trace=traces)
     out["trace-long-run"] = _sha(traces.getvalue())
+
+    trace = io.StringIO()
+    relay_run = _OutcomeLog(_RELAY_CFG, SchemeId.DSC_CACHE, trace=trace)
+    report = relay_run.run()
+    out["relay-catalog"] = _sha(trace.getvalue() + "".join(relay_run.outcomes) + repr(report))
     return out
 
 
