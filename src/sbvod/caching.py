@@ -18,9 +18,9 @@ around a point holds every client in range of it, and the 5x5 block around
 a client every holder in range of an in-range forwarder. A relay walks
 that block once, keeps the free holders within two cells of the client
 that stay long enough, and tests each forwarder against that short list;
-an empty list ends the search. Cells come nearest first, and a search
-skips a cell whose bounding box lies farther than the best client found
-so far.
+an empty list ends the search. A search looks its block's keys up in the
+grid's dict in place, nearest first, and skips an absent key or a cell
+whose bounding box lies farther than the best client found so far.
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ class NeighborIndex:
     range of a query point sits in one of the nine cells around it (the
     derivation sits with ``domain._MAX_GRID_CELLS``). A cell lists an
     ``(x, y, id)`` entry per client, at its position as added, and keeps a
-    box around those positions. Lookups return candidate cells; exact range
-    filtering is the caller's job. The engine keeps one per video over its
-    present holders, busy or not, and, under dsc only, one over every present
-    client for the relay search.
+    box around those positions. The searches below probe ``_cells`` by key
+    in place; exact range filtering is theirs. The engine keeps one per
+    video over its present holders, busy or not, and, under dsc only, one
+    over every present client for the relay search.
     """
 
     def __init__(self, range_m: float):
@@ -188,18 +188,6 @@ class NeighborIndex:
         if not cell:
             del self._cells[key]
 
-    def cells_near(self, pos: tuple[float, float], reach: int = 1) -> list[_Cell]:
-        """The cells of the block ``reach`` (1 or 2) cells around ``pos`` that hold an entry.
-
-        The default 3x3 block holds every client within range. Cells come
-        nearest first: the centre, then the edge cells, then the corners. A
-        cell is dropped when its last entry leaves, so a key present is a
-        cell in use.
-        """
-        cx, cy = self._key(pos)
-        get = self._cells.get
-        return [cell for dx, dy in _BLOCKS[reach] if (cell := get((cx + dx, cy + dy))) is not None]
-
 
 def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     """Time to pull the missed opening of segment 1 over the access link.
@@ -214,18 +202,19 @@ def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     return int(math.ceil(missed_ms * ratio))
 
 
-def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
+def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
-    """(id, value) of the least (dist2, id) client in ``cells`` that serves, or None.
+    """(id, value) of the least (dist2, id) client of ``grid`` that serves, or None.
 
-    ``cells`` (a ``NeighborIndex``'s cells, such as ``grid.cells_near(pos)``)
-    must hold every client in range of ``pos``. A client other than
-    ``skip_id`` serves if it is in radio range of ``pos``, stays past
-    ``until_ms``, when the transfer ends, and ``serves(record)`` gives a
-    value that is not None. One pass keeps the least (dist2, id) so far and
-    reads the record and calls ``serves`` only for a candidate that would
-    replace it; ``serves`` only reads the world, so this is the first
-    serving client in (dist2, id) order, whatever order the cells come in.
+    It probes ``grid._cells`` in place for each key of the 3x3 block around
+    ``pos``, which holds every client in range, nearest cell first, and
+    passes over an absent key. A client other than ``skip_id`` serves if it
+    is in radio range of ``pos``, stays past ``until_ms``, when the transfer
+    ends, and ``serves(record)`` gives a value that is not None. One pass
+    keeps the least (dist2, id) so far and reads the record and calls
+    ``serves`` only for a candidate that would replace it; ``serves`` only
+    reads the world, so this is the first serving client in (dist2, id)
+    order, whatever order the cells come in.
 
     A cell is skipped whole when the squared distance to its box exceeds the
     best so far. Rounded subtraction, product and sum are monotone, so no
@@ -239,9 +228,13 @@ def _nearest(world: Simulation, cells, pos: tuple[float, float], skip_id: int,
     leave_by = until_ms - world.cycle_ms  # playback started at or before this ends too soon
     clients = world.clients
     x, y = pos
+    cx, cy = grid._key(pos)
+    get = grid._cells.get
     r = world.cfg.client_range_m
     best_d2, best_id, best_value = r * r, None, None
-    for cell in cells:
+    for kx, ky in _BLOCKS[1]:
+        if (cell := get((cx + kx, cy + ky))) is None:
+            continue
         bx = x - cell.x0 if x < cell.x0 else x - cell.x1 if x > cell.x1 else 0.0
         by = y - cell.y0 if y < cell.y0 else y - cell.y1 if y > cell.y1 else 0.0
         if bx * bx + by * by > best_d2:
@@ -277,11 +270,15 @@ def _find_relay(world: Simulation, client, until_ms: int):
     # as its playback starts, so the arriving client is never on the list.
     grid = world.holders[client.video_id]
     x, y = client.position
+    cx, cy = grid._key(client.position)
+    get = grid._cells.get
     reach2 = 4.0 * grid.cell_m * grid.cell_m
     leave_by = until_ms - world.cycle_ms
     clients = world.clients
     free = []
-    for cell in grid.cells_near(client.position, 2):
+    for kx, ky in _BLOCKS[2]:
+        if (cell := get((cx + kx, cy + ky))) is None:
+            continue
         for entry in cell:
             dx = x - entry[0]
             dy = y - entry[1]
@@ -306,8 +303,7 @@ def _find_relay(world: Simulation, client, until_ms: int):
                 best_d2, best_id = d2, hid
         return best_id
 
-    return _nearest(world, world.index.cells_near(client.position), client.position, client.id,
-                    until_ms, via_holder)
+    return _nearest(world, world.index, client.position, client.id, until_ms, via_holder)
 
 
 def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) -> AcquisitionOutcome:
@@ -347,8 +343,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
     if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
         # A transfer ends its startup delay (two hops, three via a relay)
         # plus the fetch after now.
-        found = _nearest(world, world.holders[client.video_id].cells_near(client.position),
-                         client.position, client.id, world.now + 2 * latency + fetch_ms, _free)
+        found = _nearest(world, world.holders[client.video_id], client.position, client.id,
+                         world.now + 2 * latency + fetch_ms, _free)
         if found is not None:
             return AcquisitionOutcome(SourceKind.NEIGHBOR, 2 * latency, False, found[0],
                                       None, None, 0, 0, fetch_ms)

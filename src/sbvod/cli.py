@@ -226,7 +226,7 @@ def run_many(jobs: list[tuple[SimConfig, SchemeId]], workers: int | None = None)
         return [run_simulation(cfg, scheme) for cfg, scheme in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    # One job per task: a run (45-70 ms at 10 clients/min on 2 vCPUs) dwarfs a
+    # One job per task: a run (45-65 ms at 10 clients/min on 2 vCPUs) dwarfs a
     # round trip, and schemes differ in cost, so chunks of a short sweep would
     # unbalance workers.
     # Workers call the engine, not this module's ``run_simulation``, so a

@@ -7,7 +7,6 @@ a component starts working with them.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass, fields as _dc_fields
@@ -337,6 +336,8 @@ def derive_seed(base_seed: int, *labels: object) -> int:
     64 bits, so the same inputs give the same child seed on every platform
     and in every process.
     """
+    import hashlib  # here: it also loads OpenSSL's _hashlib (~3 MB), which analyze never needs
+
     h = hashlib.blake2b(digest_size=8)
     h.update(str(int(base_seed)).encode())
     for lab in labels:

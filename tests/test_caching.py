@@ -83,9 +83,26 @@ def acquire(scheme, newcomer, world):
     return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.segment_ms, world.now))
 
 
+def cells_near(index, pos, reach=1):
+    """The cells of the block ``reach`` cells around ``pos`` that hold an entry, nearest first.
+
+    This is the searches' walk. A cell is dropped when its last entry leaves,
+    so a key present is a cell in use.
+    """
+    cx, cy = index._key(pos)
+    return [cell for dx, dy in caching._BLOCKS[reach]
+            if (cell := index._cells.get((cx + dx, cy + dy))) is not None]
+
+
 def ids_near(index, pos, reach=1):
     """All ids in the block ``reach`` cells around ``pos``."""
-    return [cid for cell in index.cells_near(pos, reach) for _x, _y, cid in cell]
+    return [cid for cell in cells_near(index, pos, reach) for _x, _y, cid in cell]
+
+
+def block_keys(index, pos, reach):
+    """Every key of the block ``reach`` cells around ``pos``, held or not."""
+    cx, cy = index._key(pos)
+    return [(cx + dx, cy + dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
 
 
 def dist2(a, b):
@@ -576,13 +593,13 @@ def test_pruned_search_is_the_reference_first_server(case):
             del world.clients[cid]
     # A playback that started at 5 min ends at 65 min, as the transfer would.
     ranked = _ref_candidates(world, q, skip, world.now)
-    free = caching._nearest(world, world.holders[1].cells_near(q), q, skip, world.now, caching._free)
+    free = caching._nearest(world, world.holders[1], q, skip, world.now, caching._free)
     assert free == next(((cid, True) for _d2, cid, rec in ranked if not rec.uploading), None)
 
     def odd(rec):
         return rec.id if rec.id % 2 else None
 
-    found = caching._nearest(world, world.index.cells_near(q), q, skip, world.now, odd)
+    found = caching._nearest(world, world.index, q, skip, world.now, odd)
     assert found == next(((cid, cid) for _d2, cid, _rec in ranked if cid % 2), None)
 
 
@@ -641,26 +658,37 @@ def test_relay_keeps_every_holder_a_via_reaches(case):
     assert caching._find_relay(world, newcomer, until) == _ref_find_relay(world, newcomer, 1, until)
 
 
+class _Probes(dict):
+    """A grid's cells that count the keys probed with ``get``, as the searches read them."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.probed = Counter()
+
+    def get(self, key, default=None):
+        self.probed[key] += 1
+        return super().get(key, default)
+
+
 class TestRelaySearchCost:
-    """The relay lists the client's holder block once, and searches only for a usable holder."""
+    """The relay probes the client's holder block once, and searches the index only for a usable holder."""
 
     @staticmethod
-    def spy(monkeypatch):
-        """([grid listed], [point searched]): each ``cells_near`` and ``_nearest`` call, in order."""
-        listed, searched = [], []
-        cells_near, nearest = NeighborIndex.cells_near, caching._nearest
+    def spy(monkeypatch, world):
+        """(holder probes, index probes, [point searched]): key counts, and each ``_nearest`` call."""
+        probes = []
+        for grid in (world.holders[1], world.index):
+            cells = _Probes(grid._cells)
+            monkeypatch.setattr(grid, "_cells", cells)
+            probes.append(cells.probed)
+        searched, nearest = [], caching._nearest
 
-        def listing(grid, pos, reach=1):
-            listed.append(grid)
-            return cells_near(grid, pos, reach)
-
-        def searching(world, cells, pos, *rest):
+        def searching(world, grid, pos, *rest):
             searched.append(pos)
-            return nearest(world, cells, pos, *rest)
+            return nearest(world, grid, pos, *rest)
 
-        monkeypatch.setattr(NeighborIndex, "cells_near", listing)
         monkeypatch.setattr(caching, "_nearest", searching)
-        return listed, searched
+        return probes[0], probes[1], searched
 
     def test_holder_grid_is_listed_once_for_every_via(self, monkeypatch):
         # Three vias in range; of the holders, only 7, in via 4's range, is free.
@@ -670,11 +698,13 @@ class TestRelaySearchCost:
                            client(5, 40.0, 0.0, holder=True, uploading=True),
                            client(6, -40.0, 0.0, holder=True, uploading=True),
                            client(7, 0.0, 40.0, holder=True)])
-        listed, searched = self.spy(monkeypatch)
+        held, indexed, searched = self.spy(monkeypatch, world)
         assert caching._find_relay(world, newcomer, world.now) == (4, 7)
-        # The holder block and the index are each listed once, and the one
-        # search is over the index: each via scans the list of free holders.
-        assert listed == [world.holders[1], world.index]
+        # Each key of the 5x5 holder block is probed once, corners too, and
+        # the one search probes the index's 3x3 block once: each via scans
+        # the list of free holders.
+        assert held == Counter(block_keys(world.holders[1], newcomer.position, 2))
+        assert indexed == Counter(block_keys(world.index, newcomer.position, 1))
         assert searched == [newcomer.position]
 
     def test_no_usable_holder_never_searches(self, monkeypatch):
@@ -692,10 +722,10 @@ class TestRelaySearchCost:
                            client(6, -40.0, 0.0, holder=True, playback_start_ms=until - 60 * MIN),
                            client(7, 0.0, past, holder=True, playback_start_ms=10 * MIN)],
                           now_ms=now)
-        listed, searched = self.spy(monkeypatch)
-        monkeypatch.delattr(world, "index")
+        held, indexed, searched = self.spy(monkeypatch, world)
         assert caching._find_relay(world, newcomer, until) is None
-        assert listed == [world.holders[1]]
+        assert held == Counter(block_keys(world.holders[1], newcomer.position, 2))
+        assert not indexed
         assert searched == []
 
     def test_no_holder_in_the_block_never_reads_the_index(self, monkeypatch):
@@ -873,7 +903,7 @@ class TestNeighborIndex:
         with pytest.raises(KeyError, match=r"client 9 not present in cell \(0, 0\)"):
             idx.remove(9, (0.0, 0.0))
         idx.remove(9, (1.0, 0.0))
-        assert idx.cells_near((0.0, 0.0)) == []
+        assert cells_near(idx, (0.0, 0.0)) == []
 
     @given(_in_range_chain())
     # A hair across the edge of cell -1, the holder at exactly the range.

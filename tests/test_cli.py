@@ -519,6 +519,18 @@ class TestColdStart:
         here = run_simulation(SimConfig(horizon_minutes=20.0, warmup_minutes=5.0), SchemeId.DSC_CACHE)
         assert out == repr(here) + "\n"
 
+    def test_analyze_never_loads_hashlib(self):
+        # Only seeding needs blake2b; hashlib would also load OpenSSL's _hashlib.
+        _fresh_python("""
+            import contextlib, io, sys
+            import sbvod
+            from sbvod.cli import main
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["analyze"]) == 0
+            loaded = sorted({"hashlib", "_hashlib"} & set(sys.modules))
+            assert not loaded, loaded
+        """)
+
     def test_workers_forked_from_a_numpy_free_parent_write_the_same_csv(self, tmp_path):
         _fresh_python(f"""
             import sys
