@@ -10,8 +10,10 @@ Strategies are pure. The ``world`` they are handed is the running
 ``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
 ``cycle_ms``, ``clients``, ``index`` (under dsc only), ``holders``,
 ``lps_table`` and ``pools`` (each proxy's pool by id, the forwarder's
-under None). They return an :class:`AcquisitionOutcome`, and the engine
-applies it (marking uploads, queueing, recording balancer requests).
+under None). The one write is a cache: a search may add a cell edge to
+its grid's memo, a value fixed by the grid's cell width alone. They
+return an :class:`AcquisitionOutcome`, and the engine applies it
+(marking uploads, queueing, recording balancer requests).
 
 Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
 around a point holds every client in range of it, and the 5x5 block around
@@ -19,13 +21,15 @@ a client every holder in range of an in-range forwarder. A relay walks
 that block once, keeps the free holders within two cells of the client
 that stay long enough, and tests each forwarder against that short list;
 an empty list ends the search. A search looks its block's keys up in the
-grid's dict in place, nearest first, and skips an absent key or a cell
-whose bounding box lies farther than the best client found so far.
+grid's dict in place, nearest first, and passes over an absent key. Once
+it has a candidate, the direct and forwarder search also skip, before
+the lookup, a cell whose exact edges put it farther than the best so far.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -121,13 +125,55 @@ class AcquisitionOutcome(_OutcomeFields):
                                    lps_id, slot_wait_ms, queue_wait_ms, fetch_ms))
 
 
-class _Cell(list):
-    """A grid cell's ``(x, y, id)`` entries, and a box around every position added to it.
+def _ordinal(v: float) -> int:
+    """``v``'s place in float order: its bit pattern, negatives mirrored below 0 (both zeros 0)."""
+    i = struct.unpack("<q", struct.pack("<d", v))[0]
+    return i if i >= 0 else -i - 2**63
 
-    ``remove`` leaves the box as it is: one too large still bounds the entries.
+
+def _from_ordinal(i: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -i - 2**63))[0]
+
+
+class _Edges(dict):
+    """Memo from a cell key ``k`` to the least float whose key is at least ``k``.
+
+    ``floor(x / cell_m)`` is monotone in ``x``, so the floats keyed ``k`` or
+    more are exactly those from this edge up. A missing key is found by
+    search over floats in their order: a bracket around ``k * cell_m`` that
+    doubles until one end keys below ``k`` and the other not, then bisection.
+    Each takes at most about 64 steps, however many floats lie in between:
+    about 2**62 key to 0 just below 0 at 2**509 m. The edge lies a float or
+    so from ``k * cell_m``, or for key 0 within ``cell_m * 2**-1074`` of 0,
+    and each end at most twice as many floats away, or one, so every
+    quotient is finite.
     """
 
-    __slots__ = ("x0", "x1", "y0", "y1")
+    __slots__ = ("cell_m",)
+
+    def __init__(self, cell_m: float):
+        super().__init__()
+        self.cell_m = cell_m
+
+    def __missing__(self, k: int) -> float:
+        c = self.cell_m
+
+        def key(i: int) -> int:
+            return math.floor(_from_ordinal(i) / c)
+
+        at = _ordinal(k * c)
+        step = 1
+        while not key(at - step) < k <= key(at + step):
+            step += step
+        lo, hi = at - step, at + step
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if key(mid) < k:
+                lo = mid
+            else:
+                hi = mid
+        edge = self[k] = _from_ordinal(hi)
+        return edge
 
 
 def _ring_order(reach: int) -> list[tuple[int, int]]:
@@ -144,39 +190,24 @@ class NeighborIndex:
 
     Cells are a hair wider than the radio range, so every client within
     range of a query point sits in one of the nine cells around it (the
-    derivation sits with ``domain._MAX_GRID_CELLS``). A cell lists an
-    ``(x, y, id)`` entry per client, at its position as added, and keeps a
-    box around those positions. The searches below probe ``_cells`` by key
-    in place; exact range filtering is theirs. The engine keeps one per
-    video over its present holders, busy or not, and, under dsc only, one
-    over every present client for the relay search.
+    derivation sits with ``domain._MAX_GRID_CELLS``). A cell is a list of
+    ``(x, y, id)`` entries, one per client, at its position as added. The
+    searches below probe ``_cells`` by key in place, and read a cell's
+    edges from ``_edges``; exact range filtering is theirs. The engine
+    keeps one per video over its present holders, busy or not, and, under
+    dsc only, one over every present client for the relay search.
     """
 
     def __init__(self, range_m: float):
         self.cell_m = range_m * (1.0 + _CELL_SLACK)
-        self._cells: dict[tuple[int, int], _Cell] = {}
+        self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
+        self._edges = _Edges(self.cell_m)
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (math.floor(pos[0] / self.cell_m), math.floor(pos[1] / self.cell_m))
 
     def add(self, cid: int, pos: tuple[float, float]) -> None:
-        x, y = pos
-        key = self._key(pos)
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = _Cell()
-            cell.x0 = cell.x1 = x
-            cell.y0 = cell.y1 = y
-        else:
-            if x < cell.x0:
-                cell.x0 = x
-            elif x > cell.x1:
-                cell.x1 = x
-            if y < cell.y0:
-                cell.y0 = y
-            elif y > cell.y1:
-                cell.y1 = y
-        cell.append((x, y, cid))
+        self._cells.setdefault(self._key(pos), []).append((pos[0], pos[1], cid))
 
     def remove(self, cid: int, pos: tuple[float, float]) -> None:
         key = self._key(pos)
@@ -216,10 +247,14 @@ def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], s
     reads the world, so this is the first serving client in (dist2, id)
     order, whatever order the cells come in.
 
-    A cell is skipped whole when the squared distance to its box exceeds the
-    best so far. Rounded subtraction, product and sum are monotone, so no
-    entry's computed dist2 is below the bound computed from the box; an
-    entry at exactly the bound may still win on its id, so the test is strict.
+    Once there is a candidate, a key is skipped before its lookup when the
+    gaps from ``pos`` to the cell's edges bound every entry's dist2 above the
+    best so far. ``pos`` keys to ``(cx, cy)``, so with ``e = grid._edges``
+    it lies in ``[e[cx], e[cx + 1])``, and an entry of column ``cx - 1``
+    lies below ``e[cx]``, one of ``cx + 1`` at or above ``e[cx + 1]``; rows
+    alike. Rounded subtraction, product and sum are monotone, so no entry's
+    computed dist2 is below the bound computed from the gaps. An entry at
+    exactly the bound may still win on its id, so the skip is strict.
     """
     # A client leaves as its playback ends, so it serves only if that is strictly
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
@@ -232,12 +267,21 @@ def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], s
     get = grid._cells.get
     r = world.cfg.client_range_m
     best_d2, best_id, best_value = r * r, None, None
+    gx = None
     for kx, ky in _BLOCKS[1]:
+        if best_id is not None:
+            if gx is None:
+                # Squared gaps indexed by the key offset: gx[-1] to the left edge, gx[1] the right.
+                edge = grid._edges
+                lx = x - edge[cx]
+                rx = edge[cx + 1] - x
+                ly = y - edge[cy]
+                ry = edge[cy + 1] - y
+                gx = (0.0, rx * rx, lx * lx)
+                gy = (0.0, ry * ry, ly * ly)
+            if gx[kx] + gy[ky] > best_d2:
+                continue
         if (cell := get((cx + kx, cy + ky))) is None:
-            continue
-        bx = x - cell.x0 if x < cell.x0 else x - cell.x1 if x > cell.x1 else 0.0
-        by = y - cell.y0 if y < cell.y0 else y - cell.y1 if y > cell.y1 else 0.0
-        if bx * bx + by * by > best_d2:
             continue
         for px, py, cid in cell:
             # Products, not ``** 2``: libm's pow may round differently by platform.
@@ -321,7 +365,8 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     ``world`` is the running ``engine.Simulation``; the strategy only reads
     its ``now``, ``cfg``, ``cycle_ms``, ``clients``, ``index``, ``holders``,
-    ``lps_table`` and ``pools``. Under dsc only, ``index`` holds every
+    ``lps_table`` and ``pools``, and may add cell edges to a grid's memo
+    (see the module docstring). Under dsc only, ``index`` holds every
     present client; it is None under the other schemes.
     ``holders[video_id]`` holds that video's present holders, busy or not
     (the engine's mapping makes an empty grid on a video's first lookup),

@@ -83,26 +83,28 @@ def acquire(scheme, newcomer, world):
     return acquire_first_segment(scheme, newcomer, world, classify_arrival(world.segment_ms, world.now))
 
 
-def cells_near(index, pos, reach=1):
-    """The cells of the block ``reach`` cells around ``pos`` that hold an entry, nearest first.
+def block_keys(index, pos, reach):
+    """Every key of the block ``reach`` cells around ``pos``, held or not.
 
-    This is the searches' walk. A cell is dropped when its last entry leaves,
-    so a key present is a cell in use.
+    Listed by its own loops, not the searches' ``caching._BLOCKS``, so a
+    reference built on it keeps every key when a search's walk drops one.
     """
     cx, cy = index._key(pos)
-    return [cell for dx, dy in caching._BLOCKS[reach]
-            if (cell := index._cells.get((cx + dx, cy + dy))) is not None]
+    return [(cx + dx, cy + dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
+
+
+def cells_near(index, pos, reach=1):
+    """The cells of the block ``reach`` cells around ``pos`` that hold an entry.
+
+    A cell is dropped when its last entry leaves, so a key present is a cell in use.
+    """
+    return [cell for key in block_keys(index, pos, reach)
+            if (cell := index._cells.get(key)) is not None]
 
 
 def ids_near(index, pos, reach=1):
     """All ids in the block ``reach`` cells around ``pos``."""
     return [cid for cell in cells_near(index, pos, reach) for _x, _y, cid in cell]
-
-
-def block_keys(index, pos, reach):
-    """Every key of the block ``reach`` cells around ``pos``, held or not."""
-    cx, cy = index._key(pos)
-    return [(cx + dx, cy + dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
 
 
 def dist2(a, b):
@@ -556,6 +558,8 @@ def test_whole_run_choices_match_sort_every_candidate_reference(monkeypatch):
     assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 100
 
 
+# The default grid's cell width: 25 * (1 + 2**-20) m, a float exactly.
+_CELL = NeighborIndex(25.0).cell_m
 _SPOT = st.integers(-24, 24).map(lambda k: 2.5 * k) | st.floats(-60.0, 60.0)
 
 
@@ -565,7 +569,7 @@ def _thinned_grid(draw):
 
     Most coordinates sit on a 2.5 m lattice, for equal-distance ties and
     pairs at exactly the range. Every client holds, and the gone ones leave
-    after all have joined, so a cell's box can be wider than its entries.
+    after all have joined, so a cell can empty and drop out of the grid.
     """
     ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=14))
     people = [(cid, draw(_SPOT), draw(_SPOT), draw(st.booleans()), draw(st.booleans()),
@@ -574,11 +578,14 @@ def _thinned_grid(draw):
 
 
 @given(_thinned_grid())
-# Id 5 ties id 3 at 10 m. Id 3 sits in cell (-1, 0), visited after the
-# query's own cell, whose box bound then equals the best dist2 exactly.
-@example(((5.0, 10.0), 0, [(5, 15.0, 10.0, False, False, 10 * MIN),
-                           (3, -5.0, 10.0, False, False, 10 * MIN)]))
-# Id 2, the only one in range, widens its cell's box after id 1 made it.
+# Id 3, in the query's own cell, is found first, d = _CELL - 15 m to the left.
+# Id 2 sits exactly on the left edge of column 1, _CELL (see
+# test_edge_is_the_least_float_keyed_at_least_k), d to the right: that
+# column's edge bound equals the best dist2, and id 2 wins the tie on its id.
+@example(((15.0, 10.0), 0, [(3, 15.0 - (_CELL - 15.0), 10.0, False, False, 10 * MIN),
+                            (2, _CELL, 10.0, False, False, 10 * MIN)]))
+# Id 2, the only one in range, shares a neighbour cell with id 1, out of
+# range: there is no candidate, so no skip, until that cell is probed.
 @example(((30.0, 10.0), 0, [(1, 2.0, 10.0, False, False, 10 * MIN),
                             (2, 20.0, 10.0, False, False, 10 * MIN)]))
 @settings(max_examples=200)
@@ -700,11 +707,23 @@ class TestRelaySearchCost:
                            client(7, 0.0, 40.0, holder=True)])
         held, indexed, searched = self.spy(monkeypatch, world)
         assert caching._find_relay(world, newcomer, world.now) == (4, 7)
-        # Each key of the 5x5 holder block is probed once, corners too, and
-        # the one search probes the index's 3x3 block once: each via scans
-        # the list of free holders.
+        # Each key of the 5x5 holder block is probed once, corners too: each
+        # via scans the list of free holders.
         assert held == Counter(block_keys(world.holders[1], newcomer.position, 2))
-        assert indexed == Counter(block_keys(world.index, newcomer.position, 1))
+        # The one search finds via 4, 20 m away, in the newcomer's own cell,
+        # probed first. From then on it probes, once each, only the keys whose
+        # cell lies within 20 m: the newcomer sits on the lower-left corner
+        # of its cell, so columns and rows -1 and 0 are 0 m away, and 1 a cell.
+        c = world.index.cell_m
+
+        def gap(k):
+            # From the newcomer's coordinate 0 to the cell span [k * c, (k + 1) * c].
+            return max(0.0, k * c, -(k + 1) * c)
+
+        near = [(kx, ky) for kx, ky in block_keys(world.index, newcomer.position, 1)
+                if gap(kx) * gap(kx) + gap(ky) * gap(ky) <= 20.0 * 20.0]
+        assert sorted(near) == [(-1, -1), (-1, 0), (0, -1), (0, 0)]
+        assert indexed == Counter(near)
         assert searched == [newcomer.position]
 
     def test_no_usable_holder_never_searches(self, monkeypatch):
@@ -893,6 +912,21 @@ class TestNeighborIndex:
         idx = NeighborIndex(25.0)
         idx.add(1, (-10.0, -10.0))
         assert 1 in set(ids_near(idx, (-1.0, -1.0)))
+
+    @pytest.mark.parametrize("r", [2.0**-500, 25.0, 2.0**509], ids=["2**-500", "25", "2**509"])
+    def test_edge_is_the_least_float_keyed_at_least_k(self, r):
+        # Keys 0, +-1 and +-2**j up to 2**52, the validated extreme, at the
+        # least, the default and the largest range. At 2**509 m about 2**62
+        # floats just below 0 key to 0: only a bisection finds the least fast.
+        idx = NeighborIndex(r)
+        c = idx.cell_m
+        keys = [0, 1, -1, *(s * 2**j for j in range(1, 53) for s in (1, -1))]
+        for k in keys:
+            edge = idx._edges[k]
+            assert math.floor(edge / c) >= k > math.floor(math.nextafter(edge, -math.inf) / c)
+        assert sorted(idx._edges) == sorted(keys)
+        # The default cell width is itself an edge, as the pruned-search example assumes.
+        assert NeighborIndex(25.0)._edges[1] == _CELL
 
     def test_remove_missing_raises(self):
         idx = NeighborIndex(25.0)

@@ -520,15 +520,20 @@ _BUSY_CFG = SimConfig(arrival_rate_per_min=10.0, lps_capacity=2, horizon_minutes
                       warmup_minutes=0.0, seed=3)
 
 
-def _run_state(sim):
-    """Everything of a run that a strategy could write to, as plain values."""
+def _grids(sim):
+    """Each video's holder grid by video id, and dsc's all-client index under None."""
     grids = dict(sim.holders)
     if sim.index is not None:
         grids[None] = sim.index
+    return grids
+
+
+def _run_state(sim):
+    """Everything of a run that a strategy could write to, as plain values, but the edge memos."""
     return (
         {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
-        {vid: {key: (list(cell), cell.x0, cell.x1, cell.y0, cell.y1) for key, cell in grid._cells.items()}
-         for vid, grid in grids.items()},
+        {vid: {key: list(cell) for key, cell in grid._cells.items()}
+         for vid, grid in _grids(sim).items()},
         [(list(pool._ends), list(pool._pending)) for pool in sim.pools.values()],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
         (sim.now, sim._seq, len(sim._heap)),
@@ -576,8 +581,18 @@ def test_strategies_only_read_the_run(scheme):
     if sim.index is not None:
         sim.index.add(newcomer.id, newcomer.position)
     before = _run_state(sim)
+    memos = {vid: dict(grid._edges) for vid, grid in _grids(sim).items()}
     out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.segment_ms, sim.now))
     assert _run_state(sim) == before
+    # A search may only add to a grid's memo of cell edges, and only the least
+    # float keyed at least k under each k.
+    for vid, grid in _grids(sim).items():
+        assert memos[vid].items() <= grid._edges.items()
+        for k, edge in grid._edges.items():
+            below = math.nextafter(edge, -math.inf)
+            assert math.floor(edge / grid.cell_m) >= k > math.floor(below / grid.cell_m)
+    if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
+        assert sim.holders[1]._edges
     assert out == caching.acquire_first_segment(scheme, newcomer, sim,
                                                 classify_arrival(sim.segment_ms, sim.now))
 
