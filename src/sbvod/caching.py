@@ -75,6 +75,17 @@ class SourceKind(Enum):
     LPS = "lps"
 
 
+# The members per-event code compares against, read as globals. On CPython 3.10 and 3.11
+# ``SourceKind.LPS`` goes through ``EnumType.__getattr__``, about 95 ns a read against 4 for a
+# global; tests/test_member_reads.py keeps such reads out of per-event code.
+_NO_CACHE, _ALL_CACHE, _RANDOM_CACHE, _DSC_CACHE, _POR_CACHE = (
+    SchemeId.NO_CACHE, SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE, SchemeId.POR_CACHE)
+_SEARCHERS = (_ALL_CACHE, _RANDOM_CACHE, _DSC_CACHE)
+_CHANNEL_SLOT, _NEIGHBOR, _RELAY, _POR, _LPS = (
+    SourceKind.CHANNEL_SLOT, SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.POR, SourceKind.LPS)
+_FROM_HOLDER = (_NEIGHBOR, _RELAY)
+
+
 # Fraction of viewers that retain the first segment under the sparse
 # distributed-cache scheme. Keeping only a thin, dominating-set-like
 # subset of holders is what separates it from caching at everyone: the
@@ -116,7 +127,7 @@ class AcquisitionOutcome(_OutcomeFields):
                 lps_id=None, slot_wait_ms=0, queue_wait_ms=0, fetch_ms=0):
         if startup_delay_ms < 0:
             raise ValueError("startup_delay_ms must be non-negative")
-        if source_kind is SourceKind.CHANNEL_SLOT:
+        if source_kind is _CHANNEL_SLOT:
             if holder_id is not None or via_id is not None or lps_id is not None:
                 raise ValueError("channel-slot outcomes carry no source ids")
         elif failed:
@@ -354,8 +365,8 @@ def _slot_outcome(scheme: SchemeId, wait_ms: int, latency: int, failed: bool) ->
     # Probe hops burned before giving up and falling back to the next slot.
     # Direct-search schemes spend one round; the relay scheme also probes a
     # forwarding neighbor. No-cache never probes, so it never fails.
-    hops = (2 if scheme is SchemeId.DSC_CACHE else 1) if failed else 0
-    return AcquisitionOutcome(SourceKind.CHANNEL_SLOT, wait_ms + hops * latency, failed,
+    hops = (2 if scheme is _DSC_CACHE else 1) if failed else 0
+    return AcquisitionOutcome(_CHANNEL_SLOT, wait_ms + hops * latency, failed,
                               None, None, None, wait_ms)
 
 
@@ -381,30 +392,30 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
         raise ValueError("acquire_first_segment is only for late clients")
     wait_ms = arrival.wait_ms
     latency = world.cfg.msg_latency_ms
-    if scheme is SchemeId.NO_CACHE:
+    if scheme is _NO_CACHE:
         return _slot_outcome(scheme, wait_ms, latency, failed=False)
     fetch_ms = fetch_duration_ms(world.cfg, arrival.missed_ms)
 
-    if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
+    if scheme in _SEARCHERS:
         # A transfer ends its startup delay (two hops, three via a relay)
         # plus the fetch after now.
         found = _nearest(world, world.holders[client.video_id], client.position, client.id,
                          world.now + 2 * latency + fetch_ms, _free)
         if found is not None:
-            return AcquisitionOutcome(SourceKind.NEIGHBOR, 2 * latency, False, found[0],
+            return AcquisitionOutcome(_NEIGHBOR, 2 * latency, False, found[0],
                                       None, None, 0, 0, fetch_ms)
-        if scheme is SchemeId.DSC_CACHE:
+        if scheme is _DSC_CACHE:
             relay = _find_relay(world, client, world.now + 3 * latency + fetch_ms)
             if relay is not None:
                 via, holder = relay
-                return AcquisitionOutcome(SourceKind.RELAY, 3 * latency, False, holder, via,
+                return AcquisitionOutcome(_RELAY, 3 * latency, False, holder, via,
                                           None, 0, 0, fetch_ms)
         return _slot_outcome(scheme, wait_ms, latency, failed=True)
 
-    if scheme is SchemeId.POR_CACHE:
-        kind, lps_id, hops = SourceKind.POR, None, 2
+    if scheme is _POR_CACHE:
+        kind, lps_id, hops = _POR, None, 2
     else:
-        kind, lps_id, hops = SourceKind.LPS, _balancer.assign_lps(world.lps_table), 3
+        kind, lps_id, hops = _LPS, _balancer.assign_lps(world.lps_table), 3
 
     queue_wait = world.pools[lps_id].projected_wait(world.now)
     if queue_wait > wait_ms:
@@ -420,10 +431,10 @@ def on_playback_started(scheme: SchemeId, cfg: SimConfig, rng) -> bool:
     probabilistic schemes consume one draw from ``rng``; the others leave
     the stream untouched.
     """
-    if scheme is SchemeId.ALL_CACHE:
+    if scheme is _ALL_CACHE:
         return True
-    if scheme is SchemeId.RANDOM_CACHE:
+    if scheme is _RANDOM_CACHE:
         return rng.random() < cfg.random_cache_prob
-    if scheme is SchemeId.DSC_CACHE:
+    if scheme is _DSC_CACHE:
         return rng.random() < DSC_CACHE_PROB
     return False

@@ -226,9 +226,9 @@ def run_many(jobs: list[tuple[SimConfig, SchemeId]], workers: int | None = None)
         return [run_simulation(cfg, scheme) for cfg, scheme in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    # One job per task: a run (45-65 ms at 10 clients/min on 2 vCPUs) dwarfs a
-    # round trip, and schemes differ in cost, so chunks of a short sweep would
-    # unbalance workers.
+    # One job per task: a run (16-45 ms by scheme at the default config and 10
+    # clients/min, Python 3.11.7) dwarfs a round trip, and schemes differ in cost,
+    # so chunks of a short sweep would unbalance workers.
     # Workers call the engine, not this module's ``run_simulation``, so a
     # wrapper bound on that name (the benchmark's unit timer) stays in the parent.
     cfgs, schemes = zip(*jobs)

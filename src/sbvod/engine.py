@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, TextIO
 
 from . import balancer, caching
 from .caching import AcquisitionOutcome, NeighborIndex, SchemeId, SourceKind
+from .caching import _CHANNEL_SLOT, _FROM_HOLDER, _LPS
 from .domain import (
     MS_PER_MINUTE,
     RandomSource,
@@ -49,6 +50,11 @@ class ClientState(Enum):
     AWAITING_SLOT = "awaiting_slot"
     FETCHING_FIRST = "fetching_first"
     PLAYING = "playing"
+
+
+# Read as globals by the handlers, as caching's members are (see there).
+_AWAITING_SLOT, _FETCHING_FIRST, _PLAYING = (
+    ClientState.AWAITING_SLOT, ClientState.FETCHING_FIRST, ClientState.PLAYING)
 
 
 @dataclass(slots=True)
@@ -305,18 +311,18 @@ class Simulation:
             self._begin_playback(c)
             return
 
-        if out.source_kind is SourceKind.CHANNEL_SLOT:
-            c.state = ClientState.AWAITING_SLOT
+        if out.source_kind is _CHANNEL_SLOT:
+            c.state = _AWAITING_SLOT
             c.playback_start_ms = self.now + out.slot_wait_ms
             self._schedule(c.playback_start_ms, self._on_slot_start, c)
             return
 
-        c.state = ClientState.FETCHING_FIRST
+        c.state = _FETCHING_FIRST
         c.playback_start_ms = self.now + out.startup_delay_ms
         c.fetch_end_ms = c.playback_start_ms + out.fetch_ms
         c.fetch = out
 
-        if out.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
+        if out.source_kind in _FROM_HOLDER:
             holder = self.clients[out.holder_id]
             if holder.uploading:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
@@ -336,12 +342,12 @@ class Simulation:
 
     def _grant_stream(self, c: ClientRecord) -> None:
         # A queued job's slot was reserved when it arrived.
-        if c.fetch.source_kind is SourceKind.LPS:
+        if c.fetch.source_kind is _LPS:
             balancer.record_request(self.lps_table, c.fetch.lps_id, c.id)
         self._schedule(c.fetch_end_ms, self._on_fetch_complete, c)
 
     def _on_slot_start(self, c: ClientRecord) -> None:
-        if c.state is not ClientState.AWAITING_SLOT:
+        if c.state is not _AWAITING_SLOT:
             raise SimulationError(f"client {c.id} hit a slot in state {c.state}")
         if self.trace is not None:
             self._trace("slot_start", c.id)
@@ -355,19 +361,19 @@ class Simulation:
         self._grant_stream(c)
 
     def _on_fetch_complete(self, c: ClientRecord) -> None:
-        if c.fetch.source_kind in (SourceKind.NEIGHBOR, SourceKind.RELAY):
+        if c.fetch.source_kind in _FROM_HOLDER:
             holder = self.clients[c.fetch.holder_id]
             if not holder.uploading:
                 raise SimulationError(f"holder {holder.id} upload flag lost mid-transfer")
             holder.uploading = False
-        elif c.fetch.source_kind is SourceKind.LPS:
+        elif c.fetch.source_kind is _LPS:
             balancer.release_request(self.lps_table, c.fetch.lps_id, c.id)
         if self.trace is not None:
             self._trace("fetch_complete", c.id)
         self._begin_playback(c)
 
     def _begin_playback(self, c: ClientRecord) -> None:
-        c.state = ClientState.PLAYING
+        c.state = _PLAYING
         if caching.on_playback_started(self.scheme, self.cfg, self._rng_cache):
             c.holder = True
             self.holders[c.video_id].add(c.id, c.position)
