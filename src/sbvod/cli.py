@@ -226,7 +226,7 @@ def run_many(jobs: list[tuple[SimConfig, SchemeId]], workers: int | None = None)
         return [run_simulation(cfg, scheme) for cfg, scheme in jobs]
     from concurrent.futures import ProcessPoolExecutor
 
-    # One job per task: a run (16-45 ms by scheme at the default config and 10
+    # One job per task: a run (18-53 ms by scheme at the default config and 10
     # clients/min, Python 3.11.7) dwarfs a round trip, and schemes differ in cost,
     # so chunks of a short sweep would unbalance workers.
     # Workers call the engine, not this module's ``run_simulation``, so a

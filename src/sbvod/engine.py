@@ -12,9 +12,10 @@ Each video is staggered over K channels: channel i (1-based) starts it at
 broadcast-only client waits at most D. The run turns the validated
 config's minutes into this integer-ms time base once.
 
-Events are processed strictly in (time, sequence) order off a single
-heap and every random draw comes from a labelled sub-stream of the run
-seed, so a run is a pure function of (config, scheme).
+Events are processed strictly in (time, sequence) order, merged from two
+heaps that share one sequence counter: departures, a whole cycle ahead,
+and every other event. Every random draw comes from a labelled sub-stream
+of the run seed, so a run is a pure function of (config, scheme).
 """
 
 from __future__ import annotations
@@ -213,8 +214,10 @@ class Simulation:
         self.now = 0
         self._seq = 0
         # (time_ms, seq, handler, client): seq is unique, so handlers and clients are
-        # never compared. The arrival event carries None.
+        # never compared. The arrival event carries None. Departures, one per playing
+        # client and a cycle ahead, wait apart, so near-term events sift past none of them.
         self._heap: list[tuple[int, int, Callable, ClientRecord | None]] = []
+        self._departures: list[tuple[int, int, Callable, ClientRecord]] = []
         self.clients: dict[int, ClientRecord] = {}
         # Every present client, for dsc's relay search alone; no other scheme has one.
         self.index = NeighborIndex(cfg.client_range_m) if scheme is SchemeId.DSC_CACHE else None
@@ -263,10 +266,13 @@ class Simulation:
         return self.report
 
     def step(self) -> bool:
-        """Process one event; returns False once the heap is empty."""
-        if not self._heap:
+        """Process the earliest event of either heap; returns False once both are empty."""
+        heap, departures = self._heap, self._departures
+        if departures and (not heap or departures[0] < heap[0]):
+            heap = departures
+        if not heap:
             return False
-        time_ms, _seq, handler, client = heappop(self._heap)
+        time_ms, _seq, handler, client = heappop(heap)
         if time_ms < self.now:
             raise SimulationError("event time went backwards")
         self.now = time_ms
@@ -378,7 +384,8 @@ class Simulation:
             c.holder = True
             self.holders[c.video_id].add(c.id, c.position)
         # The client leaves as its playback, one cycle, ends.
-        self._schedule(c.playback_start_ms + self.cycle_ms, self._on_departure, c)
+        self._seq += 1
+        heappush(self._departures, (c.playback_start_ms + self.cycle_ms, self._seq, self._on_departure, c))
 
     def _on_departure(self, c: ClientRecord) -> None:
         if c.uploading:

@@ -14,6 +14,11 @@ interpreter in a single run each. C functions (``heapq``, ``random``, dict and l
 run no bytecode and count 0. The collector is off while counting, so no gc callback or
 finalizer runs at a moment the run does not choose. Only the standard library is used.
 
+The event heaps' work runs in C, so a second, uncounted run per scheme measures it: each
+event tuple goes through ``engine.heappush`` as a tuple subclass that counts its ``<``
+comparisons, and each pop records the near heap's length. The script prints comparisons per
+event and the mean near-heap length at a pop; neither is in the ledger.
+
 ``--record`` and ``--check`` run the ledger: every scheme on one video and all-, random- and
 dsc-cache on seven, on ``LEDGER_CFG``, a config short enough for CI. ``--record`` writes the
 running interpreter's totals into ``opcode_ledger.json``, keyed by its full version, since a
@@ -31,6 +36,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+from sbvod import engine
 from sbvod.caching import normalize_scheme
 from sbvod.domain import SimConfig
 from sbvod.engine import Simulation
@@ -86,6 +92,38 @@ def count_run(sim: Simulation) -> Counter:
         # co_qualname is 3.11+; 3.10 names a method without its class.
         named[f"{Path(code.co_filename).stem}:{getattr(code, 'co_qualname', code.co_name)}"] += n
     return named
+
+
+def heap_figures(sim: Simulation) -> tuple[float, float]:
+    """Event-tuple comparisons per event, and the mean near-heap length at a pop, over ``sim.run()``."""
+    heappush, heappop = engine.heappush, engine.heappop
+    compares = pops = near = 0
+
+    class Event(tuple):
+        __slots__ = ()
+
+        def __lt__(self, other):
+            nonlocal compares
+            compares += 1
+            return tuple.__lt__(self, other)
+
+    def push(heap, item):
+        # StreamPool pushes its ints through the same name.
+        heappush(heap, Event(item) if type(item) is tuple else item)
+
+    def pop(heap):
+        nonlocal pops, near
+        pops += 1
+        near += len(sim._heap)
+        return heappop(heap)
+
+    engine.heappush, engine.heappop = push, pop
+    try:
+        sim.run()
+    finally:
+        engine.heappush, engine.heappop = heappush, heappop
+    pops = pops or 1  # a horizon that ends before the first arrival runs no event
+    return compares / pops, near / pops
 
 
 def ledger_run(videos: int, scheme: str) -> tuple[int, int]:
@@ -171,6 +209,8 @@ def main(argv=None) -> int:
         per = sim.arrived or 1
         print(f"{sim.scheme.value}: {sum(counts.values()) / per:,.0f} bytecodes per arrival"
               f" over {sim.arrived} arrivals")
+        compares, near = heap_figures(Simulation(cfg, sim.scheme))
+        print(f"  {compares:.1f} event-tuple comparisons per event; near heap {near:.1f} events at a pop")
         for fn, n in counts.most_common(args.top):
             print(f"  {n / per:9,.1f}  {fn}")
     return 0

@@ -458,6 +458,11 @@ def _grid_ids(grid, clients):
     return set(ids)
 
 
+_SHORT_VIDEOS_CFG = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
+                              lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
+                              warmup_minutes=5.0, seed=2)
+
+
 @pytest.mark.parametrize("scheme", [SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE])
 def test_free_holder_grids_track_eligible_holders(scheme):
     # Each video's grid holds exactly its present holders, busy or not,
@@ -466,15 +471,15 @@ def test_free_holder_grids_track_eligible_holders(scheme):
     # seven of them: fetches last up to a seventh of the video, so holders
     # near the end of playback would leave mid-upload if the search did not
     # skip them.
-    cfg = SimConfig(num_videos=7, channels=1, video_length_minutes=2, bandwidth_mbps=10.5,
-                    lf_radius_m=75.0, arrival_rate_per_min=10.0, horizon_minutes=30.0,
-                    warmup_minutes=5.0, seed=2)
+    cfg = _SHORT_VIDEOS_CFG
     sim = Simulation(cfg, scheme)
     sim._schedule_next_arrival(from_ms=0)
-    while sim._heap:
-        _t, _seq, handler, c = sim._heap[0]
+    departures = 0
+    while sim._heap or sim._departures:
+        _t, _seq, handler, c = min(q[0] for q in (sim._heap, sim._departures) if q)
         if handler.__func__ is Simulation._on_departure:
             assert not c.uploading, (sim.now, c.id)
+            departures += 1
         sim.step()
         # A client leaves as its playback ends, not later.
         for c in sim.clients.values():
@@ -487,6 +492,7 @@ def test_free_holder_grids_track_eligible_holders(scheme):
             assert _grid_ids(sim.index, sim.clients) == set(sim.clients), sim.now
     assert set(sim.holders) <= set(range(1, cfg.num_videos + 1))
     assert sim.report.outcome_counts["neighbor"] > 0
+    assert departures == sim.departed > 0
 
 
 @pytest.mark.parametrize("scheme", [s for s in SchemeId if s is not SchemeId.DSC_CACHE])
@@ -536,7 +542,7 @@ def _run_state(sim):
          for vid, grid in _grids(sim).items()},
         [(list(pool._ends), list(pool._pending)) for pool in sim.pools.values()],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
-        (sim.now, sim._seq, len(sim._heap)),
+        (sim.now, sim._seq, len(sim._heap), len(sim._departures)),
     )
 
 
@@ -558,16 +564,66 @@ def _busy(sim):
 def test_each_present_client_has_one_pending_event_carrying_its_record(scheme):
     # Handlers take the record their event carries instead of looking it up,
     # so after every event each present client, and no other, must have
-    # exactly one event pending, and it must carry the live record.
+    # exactly one event pending, and it must carry the live record. A
+    # playing client's event, its departure, waits in ``_departures``; the
+    # others' wait in ``_heap`` with at most one arrival.
     sim = _started(dataclasses.replace(_BUSY_CFG, horizon_minutes=30.0), scheme)
     while sim.step():
-        carried = [c for _t, _seq, _handler, c in sim._heap if c is not None]
-        ids = [c.id for c in carried]
+        near = [c for _t, _seq, _handler, c in sim._heap if c is not None]
+        far = [c for _t, _seq, _handler, c in sim._departures]
+        assert len(sim._heap) - len(near) <= 1, (sim.now, "two arrivals pending")
+        ids = [c.id for c in near + far]
         assert len(ids) == len(set(ids)), (sim.now, "a client has two pending events")
         assert set(ids) == set(sim.clients), sim.now
-        for c in carried:
+        for c in near + far:
             assert sim.clients[c.id] is c, (sim.now, c.id)
+        assert all(c.state is ClientState.PLAYING for c in far), sim.now
+        assert not any(c.state is ClientState.PLAYING for c in near), sim.now
     assert sim.arrived > 100
+
+
+# Tie-dense runs: two-stream pools at 20 arrivals a minute, and two-minute
+# videos on one channel, where slot starts, grants and departures share instants.
+_TIE_CFGS = [
+    dataclasses.replace(_BUSY_CFG, arrival_rate_per_min=20.0, horizon_minutes=90.0),
+    dataclasses.replace(_BUSY_CFG, arrival_rate_per_min=20.0, horizon_minutes=90.0, seed=4),
+    _SHORT_VIDEOS_CFG,
+    dataclasses.replace(_SHORT_VIDEOS_CFG, arrival_rate_per_min=20.0, seed=3),
+]
+
+
+@pytest.mark.parametrize("cfg", _TIE_CFGS, ids=["busy-3", "busy-4", "short-10", "short-20"])
+@pytest.mark.parametrize("scheme", list(SchemeId))
+def test_two_queue_event_order_matches_one_heap(cfg, scheme):
+    # Departures wait in their own heap, and step() merges the two heads by
+    # (time, seq). Sharing the list gives the one-heap engine; the report,
+    # every trace line and so every random draw must come out the same.
+    def run(one_heap):
+        trace = io.StringIO()
+        sim = Simulation(cfg, scheme, trace=trace)
+        if one_heap:
+            sim._departures = sim._heap
+        return repr(sim.run()), trace.getvalue()
+
+    split, merged = run(one_heap=False), run(one_heap=True)
+    assert split[0] == merged[0]
+    assert split[1] == merged[1]
+    assert split[1].count(" departure ") > 100
+
+
+def test_step_breaks_time_ties_between_the_two_heaps_by_seq():
+    # A departure and a near-term event at one instant run in the order they
+    # were scheduled, whichever heap each waits in.
+    sim = Simulation(short_cfg(), SchemeId.NO_CACHE)
+    order = []
+    sim._on_departure = lambda c: order.append(("departure", c.id))
+    c = ClientRecord(id=1, arrival_ms=0, position=(0.0, 0.0), video_id=1, playback_start_ms=0)
+    sim._schedule(sim.cycle_ms, lambda c: order.append(("near", 1)))
+    sim._begin_playback(c)
+    sim._schedule(sim.cycle_ms, lambda c: order.append(("near", 2)))
+    while sim.step():
+        pass
+    assert order == [("near", 1), ("departure", 1), ("near", 2)]
 
 
 @pytest.mark.parametrize("scheme", list(SchemeId))

@@ -1,13 +1,15 @@
 """Checks on the bytecode-count script and its ledger, ``opcode_ledger.json``."""
 
+import heapq
 import json
 import platform
 
 import pytest
 
 import opcodes_per_arrival
-from opcodes_per_arrival import count_run, ledger_run, main
+from opcodes_per_arrival import count_run, heap_figures, ledger_run, main
 
+from sbvod import engine
 from sbvod.caching import SchemeId
 from sbvod.domain import SimConfig
 from sbvod.engine import Simulation
@@ -29,7 +31,20 @@ def test_main_prints_one_total_per_scheme(capsys):
     lines = capsys.readouterr().out.splitlines()
     totals = [ln for ln in lines if "bytecodes per arrival" in ln]
     assert [ln.split(":")[0] for ln in totals] == ["no-cache", "dsc-cache"]
-    assert len(lines) == 1 + 2 * (1 + 2)
+    assert sum("event-tuple comparisons per event" in ln for ln in lines) == 2
+    assert len(lines) == 1 + 2 * (2 + 2)
+
+
+def test_heap_figures_leave_the_run_as_it_was():
+    counted = Simulation(_CFG, SchemeId.POR_CACHE)
+    compares, near = heap_figures(counted)
+    assert (engine.heappush, engine.heappop) == (heapq.heappush, heapq.heappop)
+    assert repr(counted.report) == repr(Simulation(_CFG, SchemeId.POR_CACHE).run())
+    # Sharing one list gives the one-heap engine, where departures crowd the near heap.
+    one_heap = Simulation(_CFG, SchemeId.POR_CACHE)
+    one_heap._departures = one_heap._heap
+    one_compares, one_near = heap_figures(one_heap)
+    assert near < one_near / 10 and compares < one_compares
 
 
 def test_proxy_cache_matches_the_ledger():
