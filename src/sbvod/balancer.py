@@ -30,22 +30,22 @@ class LpsEntry:
 
 @dataclass
 class LpsTable:
-    """Ordered collection of proxy entries with unique ids."""
+    """Ordered collection of proxy entries with unique ids, indexed by id once, when built."""
 
     entries: list[LpsEntry] = field(default_factory=list)
 
     def __post_init__(self):
-        seen = set()
+        self._by_id = {}
         for e in self.entries:
-            if e.lps_id in seen:
+            if e.lps_id in self._by_id:
                 raise BalancerError(f"duplicate lps_id {e.lps_id}")
-            seen.add(e.lps_id)
+            self._by_id[e.lps_id] = e
 
     def entry(self, lps_id: int) -> LpsEntry:
-        for e in self.entries:
-            if e.lps_id == lps_id:
-                return e
-        raise BalancerError(f"no LPS with id {lps_id}")
+        try:
+            return self._by_id[lps_id]
+        except KeyError:
+            raise BalancerError(f"no LPS with id {lps_id}") from None
 
 
 def assign_lps(table: LpsTable) -> int:
@@ -56,7 +56,12 @@ def assign_lps(table: LpsTable) -> int:
     """
     if not table.entries:
         raise BalancerError("no LPS entries to assign from")
-    best = min(table.entries, key=lambda e: (len(e.client_ids), e.lps_id))
+    # A plain loop: ``min`` with a ``key=`` function makes a Python call per proxy.
+    best = None
+    for e in table.entries:
+        n = len(e.client_ids)
+        if best is None or n < least or (n == least and e.lps_id < best.lps_id):
+            best, least = e, n
     return best.lps_id
 
 

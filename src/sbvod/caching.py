@@ -241,7 +241,7 @@ def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     if missed_ms <= 0:
         return 0
     ratio = cfg.consumption_rate_mbps / cfg.bandwidth_mbps
-    return int(math.ceil(missed_ms * ratio))
+    return math.ceil(missed_ms * ratio)
 
 
 def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,

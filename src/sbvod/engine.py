@@ -85,7 +85,8 @@ class ArrivalClass(NamedTuple):
 def classify_arrival(segment_ms: int, t_ms: int) -> ArrivalClass:
     """Split an arrival into on-time (a slot starts now) or late by ``missed_ms``."""
     missed = t_ms % segment_ms
-    return ArrivalClass(missed == 0, missed, (segment_ms - missed) if missed else 0)
+    # ``tuple.__new__`` skips the named tuple's Python-level ``__new__``: one call less per arrival.
+    return tuple.__new__(ArrivalClass, (missed == 0, missed, (segment_ms - missed) if missed else 0))
 
 
 # What a client who walks in exactly as a segment-1 slot opens counts as.
@@ -238,15 +239,6 @@ class Simulation:
 
     # -- setup helpers ----------------------------------------------------
 
-    def _draw_video(self) -> int:
-        # The first video whose cumulative share reaches the draw; ids are 1-based.
-        return bisect.bisect_left(self._video_edges, self._rng_video.random()) + 1
-
-    def _draw_position(self) -> tuple[float, float]:
-        r = self.cfg.lf_radius_m * math.sqrt(self._rng_place.random())
-        theta = 2.0 * math.pi * self._rng_place.random()
-        return (r * math.cos(theta), r * math.sin(theta))
-
     def _schedule(self, time_ms: int, handler: Callable, client: ClientRecord | None = None) -> None:
         self._seq += 1
         heappush(self._heap, (time_ms, self._seq, handler, client))
@@ -284,21 +276,31 @@ class Simulation:
     def _schedule_next_arrival(self, from_ms: int) -> None:
         # An exponential gap by inversion: random() is the one draw whose
         # sequence Python keeps the same on every version.
-        t = from_ms + int(round(self._gap_scale * -math.log(1.0 - self._rng_arrivals.random())))
+        t = from_ms + round(self._gap_scale * -math.log(1.0 - self._rng_arrivals.random()))
         if t <= self.horizon_ms:
             self._schedule(t, self._on_arrival)
 
     def _on_arrival(self, _none: None) -> None:
-        self._schedule_next_arrival(from_ms=self.now)
+        # _schedule_next_arrival's draw and _schedule's push, in place, as are the fetch-end
+        # pushes below: each runs on nearly every arrival, where a call costs more than its body.
+        now = self.now
+        t = now + round(self._gap_scale * -math.log(1.0 - self._rng_arrivals.random()))
+        if t <= self.horizon_ms:
+            self._seq += 1
+            heappush(self._heap, (t, self._seq, self._on_arrival, None))
         self.arrived += 1
         cid = self.arrived
-        # Positional: id, arrival_ms, position, video_id.
-        c = ClientRecord(cid, self.now, self._draw_position(), self._draw_video())
+        # A point uniform over the disc by area; then the first video whose cumulative
+        # share reaches the draw (ids are 1-based). Positional: id, arrival_ms, position, video_id.
+        r = self.cfg.lf_radius_m * math.sqrt(self._rng_place.random())
+        theta = 2.0 * math.pi * self._rng_place.random()
+        c = ClientRecord(cid, now, (r * math.cos(theta), r * math.sin(theta)),
+                         bisect.bisect_left(self._video_edges, self._rng_video.random()) + 1)
         self.clients[cid] = c
         if self.index is not None:
             self.index.add(cid, c.position)
 
-        arrival = classify_arrival(self.segment_ms, self.now)
+        arrival = classify_arrival(self.segment_ms, now)
         if self.trace is not None:
             self._trace("arrival", cid, f"video={c.video_id} missed={arrival.missed_ms}")
 
@@ -333,7 +335,8 @@ class Simulation:
             if holder.uploading:
                 raise SimulationError(f"holder {holder.id} granted a second upload")
             holder.uploading = True
-            self._schedule(c.fetch_end_ms, self._on_fetch_complete, c)
+            self._seq += 1
+            heappush(self._heap, (c.fetch_end_ms, self._seq, self._on_fetch_complete, c))
             return
 
         # Pool-backed fetches hold their slot from grant to transfer end, and
@@ -350,7 +353,8 @@ class Simulation:
         # A queued job's slot was reserved when it arrived.
         if c.fetch.source_kind is _LPS:
             balancer.record_request(self.lps_table, c.fetch.lps_id, c.id)
-        self._schedule(c.fetch_end_ms, self._on_fetch_complete, c)
+        self._seq += 1
+        heappush(self._heap, (c.fetch_end_ms, self._seq, self._on_fetch_complete, c))
 
     def _on_slot_start(self, c: ClientRecord) -> None:
         if c.state is not _AWAITING_SLOT:

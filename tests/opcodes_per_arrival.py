@@ -19,6 +19,11 @@ event tuple goes through ``engine.heappush`` as a tuple subclass that counts its
 comparisons, and each pop records the near heap's length. The script prints comparisons per
 event and the mean near-heap length at a pop; neither is in the ledger.
 
+A third run per scheme counts Python calls with ``sys.setprofile``: every Python frame that
+starts, by function, while C calls count 0. A call costs far more than one instruction, so
+the calls can fall while the bytecodes rise. Unlike the bytecodes, the calls do not depend on
+the CPython version, so the test suite pins them on ``LEDGER_CFG`` for every scheme.
+
 ``--record`` and ``--check`` run the ledger: every scheme on one video and all-, random- and
 dsc-cache on seven, on ``LEDGER_CFG``, a config short enough for CI. ``--record`` writes the
 running interpreter's totals into ``opcode_ledger.json``, keyed by its full version, since a
@@ -45,6 +50,11 @@ LEDGER = Path(__file__).with_name("opcode_ledger.json")
 LEDGER_CFG = {"arrival_rate_per_min": 10.0, "horizon_minutes": 30.0, "warmup_minutes": 5.0, "seed": 5}
 LEDGER_CASES = {1: ("no-cache", "por-cache", "proxy-cache", "all-cache", "random-cache", "dsc-cache"),
                 7: ("all-cache", "random-cache", "dsc-cache")}
+
+
+def _name(code) -> str:
+    # co_qualname is 3.11+; 3.10 names a method without its class.
+    return f"{Path(code.co_filename).stem}:{getattr(code, 'co_qualname', code.co_name)}"
 
 
 def count_run(sim: Simulation) -> Counter:
@@ -89,8 +99,30 @@ def count_run(sim: Simulation) -> Counter:
     counts.pop(count_run.__code__, None)  # sys.monitoring sees this frame start and stop the run
     named: Counter = Counter()
     for code, n in counts.items():
-        # co_qualname is 3.11+; 3.10 names a method without its class.
-        named[f"{Path(code.co_filename).stem}:{getattr(code, 'co_qualname', code.co_name)}"] += n
+        named[_name(code)] += n
+    return named
+
+
+def count_calls(sim: Simulation) -> Counter:
+    """Python calls each function took during ``sim.run()``, keyed as ``count_run`` keys them."""
+    counts: Counter = Counter()
+
+    def on_event(frame, event, _arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+
+    was_enabled = gc.isenabled()
+    gc.disable()
+    sys.setprofile(on_event)
+    try:
+        sim.run()
+    finally:
+        sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
+    named: Counter = Counter()
+    for code, n in counts.items():
+        named[_name(code)] += n
     return named
 
 
@@ -130,6 +162,12 @@ def ledger_run(videos: int, scheme: str) -> tuple[int, int]:
     """(bytecodes, arrivals) of one ledger run."""
     sim = Simulation(SimConfig(num_videos=videos, **LEDGER_CFG), normalize_scheme(scheme))
     return sum(count_run(sim).values()), sim.arrived
+
+
+def ledger_calls(videos: int, scheme: str) -> tuple[int, int]:
+    """(Python calls, arrivals) of one ledger run."""
+    sim = Simulation(SimConfig(num_videos=videos, **LEDGER_CFG), normalize_scheme(scheme))
+    return sum(count_calls(sim).values()), sim.arrived
 
 
 def ledger_entry() -> dict:
@@ -213,6 +251,10 @@ def main(argv=None) -> int:
         print(f"  {compares:.1f} event-tuple comparisons per event; near heap {near:.1f} events at a pop")
         for fn, n in counts.most_common(args.top):
             print(f"  {n / per:9,.1f}  {fn}")
+        calls = count_calls(Simulation(cfg, sim.scheme))
+        print(f"  {sum(calls.values()) / per:.1f} Python calls per arrival, most called first:")
+        for fn, n in calls.most_common(args.top):
+            print(f"  {n / per:9,.2f}  {fn}")
     return 0
 
 

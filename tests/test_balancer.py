@@ -4,6 +4,7 @@ The worked states mirror the two-proxy bookkeeping example: LPS1 serving
 {C1,C3,C5,C7,C9} (count 5) and LPS2 serving {C2,C4,C6,C8} (count 4).
 """
 
+import itertools
 import random
 
 import pytest
@@ -106,6 +107,48 @@ class TestTable:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(Exception, match="duplicate lps_id"):
             LpsTable([LpsEntry(1, "a", "h:1"), LpsEntry(1, "b", "h:2")])
+
+
+class TestSparseIds:
+    """Ids out of order and not contiguous: every lookup goes by id, never by list position."""
+
+    IDS = (7, 3, 5)
+
+    def table(self, ids=IDS):
+        return LpsTable([LpsEntry(i, f"LPS{i}", f"h:{i}") for i in ids])
+
+    def test_entry_resolves_each_id(self):
+        t = self.table()
+        for position, lps_id in enumerate(self.IDS):
+            assert t.entry(lps_id) is t.entries[position]
+        record_request(t, 3, "A")
+        record_request(t, 7, "B")
+        assert [e.client_ids for e in t.entries] == [{"B"}, {"A"}, set()]
+
+    @pytest.mark.parametrize("lps_id", [0, 1, 2, 4, 6, 8, -1])
+    def test_unknown_id_keeps_its_message(self, lps_id):
+        t = self.table()
+        with pytest.raises(BalancerError, match=f"^no LPS with id {lps_id}$"):
+            t.entry(lps_id)
+        with pytest.raises(BalancerError, match=f"^no LPS with id {lps_id}$"):
+            record_request(t, lps_id, "A")
+        with pytest.raises(BalancerError, match=f"^no LPS with id {lps_id}$"):
+            release_request(t, lps_id, "A")
+
+    def test_duplicate_ids_still_refused(self):
+        with pytest.raises(BalancerError, match="^duplicate lps_id 3$"):
+            self.table((7, 3, 5, 3))
+
+    @pytest.mark.parametrize("ids", list(itertools.permutations(IDS)))
+    def test_ties_go_to_the_lowest_id_in_any_order(self, ids):
+        t = self.table(ids)
+        picks = []
+        for n in range(7):
+            picks.append(assign_lps(t))
+            record_request(t, picks[-1], n)
+        assert picks == [3, 5, 7, 3, 5, 7, 3]
+        release_request(t, 7, 2)
+        assert assign_lps(t) == 7
 
 
 class TestRandomizedModel:

@@ -3,11 +3,12 @@
 import heapq
 import json
 import platform
+import sys
 
 import pytest
 
 import opcodes_per_arrival
-from opcodes_per_arrival import count_run, heap_figures, ledger_run, main
+from opcodes_per_arrival import LEDGER_CASES, count_calls, count_run, heap_figures, ledger_calls, ledger_run, main
 
 from sbvod import engine
 from sbvod.caching import SchemeId
@@ -15,6 +16,14 @@ from sbvod.domain import SimConfig
 from sbvod.engine import Simulation
 
 _CFG = SimConfig(arrival_rate_per_min=10.0, horizon_minutes=20.0, warmup_minutes=5.0, seed=5)
+
+# Python calls of each ledger run (322 arrivals). They are the same on CPython 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0, so, unlike the bytecodes, they are pinned once for every version.
+CALLS = {
+    1: {"no-cache": 5095, "por-cache": 5739, "proxy-cache": 7349, "all-cache": 7465,
+        "random-cache": 6684, "dsc-cache": 8337},
+    7: {"all-cache": 7909, "random-cache": 7139, "dsc-cache": 9119},
+}
 
 
 def test_counts_are_a_pure_function_of_the_run():
@@ -32,7 +41,24 @@ def test_main_prints_one_total_per_scheme(capsys):
     totals = [ln for ln in lines if "bytecodes per arrival" in ln]
     assert [ln.split(":")[0] for ln in totals] == ["no-cache", "dsc-cache"]
     assert sum("event-tuple comparisons per event" in ln for ln in lines) == 2
-    assert len(lines) == 1 + 2 * (2 + 2)
+    assert sum("Python calls per arrival" in ln for ln in lines) == 2
+    assert len(lines) == 1 + 2 * (2 + 2 + 1 + 2)
+
+
+def test_calls_are_a_pure_function_of_the_run():
+    calls = count_calls(Simulation(_CFG, SchemeId.PROXY_CACHE))
+    assert calls == count_calls(Simulation(_CFG, SchemeId.PROXY_CACHE))
+    assert calls["engine:Simulation.run"] == 1
+    assert calls["balancer:assign_lps"] == calls["caching:fetch_duration_ms"] > 0
+    assert not any(name.startswith("heapq:") for name in calls)
+    assert sys.getprofile() is None
+
+
+@pytest.mark.parametrize(("videos", "scheme"),
+                         [(videos, scheme) for videos, schemes in LEDGER_CASES.items() for scheme in schemes])
+def test_python_calls_match_the_pins(videos, scheme):
+    """The same on every Python; one more helper call per arrival adds up to 322 to a count."""
+    assert ledger_calls(videos, scheme) == (CALLS[videos][scheme], 322)
 
 
 def test_heap_figures_leave_the_run_as_it_was():
