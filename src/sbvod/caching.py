@@ -10,10 +10,9 @@ Strategies are pure. The ``world`` they are handed is the running
 ``engine.Simulation`` itself, and they only read it: ``now``, ``cfg``,
 ``cycle_ms``, ``clients``, ``index`` (under dsc only), ``holders``,
 ``lps_table`` and ``pools`` (each proxy's pool by id, the forwarder's
-under None). The one write is a cache: a search may add a cell edge to
-its grid's memo, a value fixed by the grid's cell width alone. They
-return an :class:`AcquisitionOutcome`, and the engine applies it
-(marking uploads, queueing, recording balancer requests).
+under None), and write nothing. They return an
+:class:`AcquisitionOutcome`, and the engine applies it (marking uploads,
+queueing, recording balancer requests).
 
 Neighbour searches scan grid cells of ``(x, y, id)`` entries: the 3x3 block
 around a point holds every client in range of it, and the 5x5 block around
@@ -23,13 +22,13 @@ that stay long enough, and tests each forwarder against that short list;
 an empty list ends the search. A search looks its block's keys up in the
 grid's dict in place, nearest first, and passes over an absent key. Once
 it has a candidate, the direct and forwarder search also skip, before
-the lookup, a cell whose exact edges put it farther than the best so far.
+the lookup, a cell whose edges, bounded from ``k * cell_m``, put it
+farther than the best so far.
 """
 
 from __future__ import annotations
 
 import math
-import struct
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -136,57 +135,6 @@ class AcquisitionOutcome(_OutcomeFields):
                                    lps_id, slot_wait_ms, queue_wait_ms, fetch_ms))
 
 
-def _ordinal(v: float) -> int:
-    """``v``'s place in float order: its bit pattern, negatives mirrored below 0 (both zeros 0)."""
-    i = struct.unpack("<q", struct.pack("<d", v))[0]
-    return i if i >= 0 else -i - 2**63
-
-
-def _from_ordinal(i: int) -> float:
-    return struct.unpack("<d", struct.pack("<q", i if i >= 0 else -i - 2**63))[0]
-
-
-class _Edges(dict):
-    """Memo from a cell key ``k`` to the least float whose key is at least ``k``.
-
-    ``floor(x / cell_m)`` is monotone in ``x``, so the floats keyed ``k`` or
-    more are exactly those from this edge up. A missing key is found by
-    search over floats in their order: a bracket around ``k * cell_m`` that
-    doubles until one end keys below ``k`` and the other not, then bisection.
-    Each takes at most about 64 steps, however many floats lie in between:
-    about 2**62 key to 0 just below 0 at 2**509 m. The edge lies a float or
-    so from ``k * cell_m``, or for key 0 within ``cell_m * 2**-1074`` of 0,
-    and each end at most twice as many floats away, or one, so every
-    quotient is finite.
-    """
-
-    __slots__ = ("cell_m",)
-
-    def __init__(self, cell_m: float):
-        super().__init__()
-        self.cell_m = cell_m
-
-    def __missing__(self, k: int) -> float:
-        c = self.cell_m
-
-        def key(i: int) -> int:
-            return math.floor(_from_ordinal(i) / c)
-
-        at = _ordinal(k * c)
-        step = 1
-        while not key(at - step) < k <= key(at + step):
-            step += step
-        lo, hi = at - step, at + step
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if key(mid) < k:
-                lo = mid
-            else:
-                hi = mid
-        edge = self[k] = _from_ordinal(hi)
-        return edge
-
-
 def _ring_order(reach: int) -> list[tuple[int, int]]:
     """Key offsets of the block ``reach`` cells around a cell, the centre first, corners last."""
     block = [(dx, dy) for dx in range(-reach, reach + 1) for dy in range(-reach, reach + 1)]
@@ -203,16 +151,15 @@ class NeighborIndex:
     range of a query point sits in one of the nine cells around it (the
     derivation sits with ``domain._MAX_GRID_CELLS``). A cell is a list of
     ``(x, y, id)`` entries, one per client, at its position as added. The
-    searches below probe ``_cells`` by key in place, and read a cell's
-    edges from ``_edges``; exact range filtering is theirs. The engine
-    keeps one per video over its present holders, busy or not, and, under
-    dsc only, one over every present client for the relay search.
+    searches below probe ``_cells`` by key in place; exact range filtering
+    is theirs. The engine keeps one per video over its present holders,
+    busy or not, and, under dsc only, one over every present client for
+    the relay search.
     """
 
     def __init__(self, range_m: float):
         self.cell_m = range_m * (1.0 + _CELL_SLACK)
         self._cells: dict[tuple[int, int], list[tuple[float, float, int]]] = {}
-        self._edges = _Edges(self.cell_m)
 
     def _key(self, pos: tuple[float, float]) -> tuple[int, int]:
         return (math.floor(pos[0] / self.cell_m), math.floor(pos[1] / self.cell_m))
@@ -244,6 +191,23 @@ def fetch_duration_ms(cfg: SimConfig, missed_ms: int) -> int:
     return math.ceil(missed_ms * ratio)
 
 
+# The edge e[k] of key k, the least float whose key floor(x / c) is at least k, lies near
+# k * c; ``_nearest``'s skip bounds it from there. By the standard model of rounding (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2002, ch. 2), with |k| <= 2**52
+# (``domain._MAX_GRID_CELLS``) and c at least 2**-500:
+# - k != 0: |e[k] - k*c| <= |k*c| * 2**-51. Every float from k*c up keys at least k, and the
+#   first lies within |k*c| * 2**-52 of it; a quotient more than |k| * 2**-53 below k, at
+#   least half the spacing of the floats below k, rounds below k.
+# - k = 0: |e[0]| <= c * 2**-1074. A negative x keys 0 only when x / c rounds to -0.0.
+# - Computing fl(k * c) adds |k*c| * 2**-53.
+# A point x keyed cx lies in [e[cx], e[cx + 1]), so k = cx and k = cx + 1 have |k*c| at most
+# |x| * (1 + 2**-50) + c, and e[k] lies within 1.26 * (|x| + c) * 2**-51 + c * 2**-1074 of
+# fl(k * c): less than (|x| + 2 * c) * _EDGE_MARGIN as computed, a normal float rounded once.
+# Rounding is monotone and edges are floats, so fl(fl(cx * c) + margin) >= e[cx] and
+# fl(fl((cx + 1) * c) - margin) <= e[cx + 1].
+_EDGE_MARGIN = 2.0**-50
+
+
 def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], skip_id: int,
              until_ms: int, serves):
     """(id, value) of the least (dist2, id) client of ``grid`` that serves, or None.
@@ -260,12 +224,15 @@ def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], s
 
     Once there is a candidate, a key is skipped before its lookup when the
     gaps from ``pos`` to the cell's edges bound every entry's dist2 above the
-    best so far. ``pos`` keys to ``(cx, cy)``, so with ``e = grid._edges``
-    it lies in ``[e[cx], e[cx + 1])``, and an entry of column ``cx - 1``
-    lies below ``e[cx]``, one of ``cx + 1`` at or above ``e[cx + 1]``; rows
-    alike. Rounded subtraction, product and sum are monotone, so no entry's
-    computed dist2 is below the bound computed from the gaps. An entry at
-    exactly the bound may still win on its id, so the skip is strict.
+    best so far. ``pos`` keys to ``(cx, cy)``, so with ``e[k]`` the least
+    float keyed at least ``k`` it lies in ``[e[cx], e[cx + 1])``, and an
+    entry of column ``cx - 1`` lies below ``e[cx]``, one of ``cx + 1`` at or
+    above ``e[cx + 1]``; rows alike. Each gap runs to a bound on its edge,
+    ``k * cell_m`` moved toward ``pos`` by the margin derived above, and
+    counts as 0 where that bound passes ``pos``. Rounded subtraction, product
+    and sum are monotone, so no entry's computed dist2 is below the bound
+    computed from the gaps. An entry at exactly the bound may still win on
+    its id, so the skip is strict.
     """
     # A client leaves as its playback ends, so it serves only if that is strictly
     # after until_ms. Every search asks for until_ms >= now, so a client leaving
@@ -282,14 +249,19 @@ def _nearest(world: Simulation, grid: NeighborIndex, pos: tuple[float, float], s
     for kx, ky in _BLOCKS[1]:
         if best_id is not None:
             if gx is None:
-                # Squared gaps indexed by the key offset: gx[-1] to the left edge, gx[1] the right.
-                edge = grid._edges
-                lx = x - edge[cx]
-                rx = edge[cx + 1] - x
-                ly = y - edge[cy]
-                ry = edge[cy + 1] - y
-                gx = (0.0, rx * rx, lx * lx)
-                gy = (0.0, ry * ry, ly * ly)
+                # Edge bounds: left and below at least e[cx] and e[cy], right and above at
+                # most e[cx + 1] and e[cy + 1].
+                c = grid.cell_m
+                t = (abs(x) + 2.0 * c) * _EDGE_MARGIN
+                left, right = cx * c + t, (cx + 1) * c - t
+                t = (abs(y) + 2.0 * c) * _EDGE_MARGIN
+                below, above = cy * c + t, (cy + 1) * c - t
+                # Squared gaps indexed by the key offset, 0 where a bound passes pos: gx[-1] to
+                # the left edge, gx[1] the right.
+                lx, rx = x - left, right - x
+                ly, ry = y - below, above - y
+                gx = (0.0, rx * rx if rx > 0.0 else 0.0, lx * lx if lx > 0.0 else 0.0)
+                gy = (0.0, ry * ry if ry > 0.0 else 0.0, ly * ly if ly > 0.0 else 0.0)
             if gx[kx] + gy[ky] > best_d2:
                 continue
         if (cell := get((cx + kx, cy + ky))) is None:
@@ -376,9 +348,9 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     ``world`` is the running ``engine.Simulation``; the strategy only reads
     its ``now``, ``cfg``, ``cycle_ms``, ``clients``, ``index``, ``holders``,
-    ``lps_table`` and ``pools``, and may add cell edges to a grid's memo
-    (see the module docstring). Under dsc only, ``index`` holds every
-    present client; it is None under the other schemes.
+    ``lps_table`` and ``pools``, and writes nothing (see the module
+    docstring). Under dsc only, ``index`` holds every present client; it
+    is None under the other schemes.
     ``holders[video_id]`` holds that video's present holders, busy or not
     (the engine's mapping makes an empty grid on a video's first lookup),
     and a holder's ``uploading`` flag alone says it is busy. ``arrival`` is
@@ -393,7 +365,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
     wait_ms = arrival.wait_ms
     latency = world.cfg.msg_latency_ms
     if scheme is _NO_CACHE:
-        return _slot_outcome(scheme, wait_ms, latency, failed=False)
+        return _slot_outcome(scheme, wait_ms, latency, False)
     fetch_ms = fetch_duration_ms(world.cfg, arrival.missed_ms)
 
     if scheme in _SEARCHERS:
@@ -410,7 +382,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
                 via, holder = relay
                 return AcquisitionOutcome(_RELAY, 3 * latency, False, holder, via,
                                           None, 0, 0, fetch_ms)
-        return _slot_outcome(scheme, wait_ms, latency, failed=True)
+        return _slot_outcome(scheme, wait_ms, latency, True)
 
     if scheme is _POR_CACHE:
         kind, lps_id, hops = _POR, None, 2
@@ -419,7 +391,7 @@ def acquire_first_segment(scheme: SchemeId, client, world: Simulation,
 
     queue_wait = world.pools[lps_id].projected_wait(world.now)
     if queue_wait > wait_ms:
-        return _slot_outcome(scheme, wait_ms, latency, failed=True)
+        return _slot_outcome(scheme, wait_ms, latency, True)
     return AcquisitionOutcome(kind, hops * latency + queue_wait, False, None, None, lps_id,
                               0, queue_wait, fetch_ms)
 

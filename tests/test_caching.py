@@ -9,6 +9,7 @@ neighbor fetch costs 40 ms and a proxy fetch 60 ms.
 
 import math
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -558,41 +559,70 @@ def test_whole_run_choices_match_sort_every_candidate_reference(monkeypatch):
     assert min(kinds[k] for k in (SourceKind.NEIGHBOR, SourceKind.RELAY, SourceKind.CHANNEL_SLOT)) > 100
 
 
-# The default grid's cell width: 25 * (1 + 2**-20) m, a float exactly.
-_CELL = NeighborIndex(25.0).cell_m
-_SPOT = st.integers(-24, 24).map(lambda k: 2.5 * k) | st.floats(-60.0, 60.0)
+# The least, the default and the largest validated radio range.
+_RANGES = [2.0**-500, 25.0, 2.0**509]
 
 
 @st.composite
 def _thinned_grid(draw):
-    """(query, skip, people): clients around a query, each ``(id, x, y, gone, busy, start)``.
+    """(range, query, skip, people): clients around a query, each ``(id, x, y, gone, busy, start)``.
 
-    Most coordinates sit on a 2.5 m lattice, for equal-distance ties and
-    pairs at exactly the range. Every client holds, and the gone ones leave
-    after all have joined, so a cell can empty and drop out of the grid.
+    Most coordinates sit on a lattice of eighth ranges, for equal-distance
+    ties and pairs at exactly the range. Every client holds, and the gone
+    ones leave after all have joined, so a cell can empty and drop out of
+    the grid. Ranges of 2**-500 m and 2**509 m carry the same shapes to the
+    validated extremes.
     """
+    r = draw(st.sampled_from(_RANGES))
+    spot = st.integers(-19, 19).map(lambda k: k * (r / 8)) | st.floats(-2.4, 2.4).map(lambda u: u * r)
     ids = draw(st.lists(st.integers(1, 40), unique=True, max_size=14))
-    people = [(cid, draw(_SPOT), draw(_SPOT), draw(st.booleans()), draw(st.booleans()),
+    people = [(cid, draw(spot), draw(spot), draw(st.booleans()), draw(st.booleans()),
                draw(st.sampled_from([5 * MIN, 10 * MIN]))) for cid in ids]
-    return (draw(_SPOT), draw(_SPOT)), draw(st.sampled_from([0, *ids])), people
+    return r, (draw(spot), draw(spot)), draw(st.sampled_from([0, *ids])), people
+
+
+def _tie_across_an_edge(r):
+    """Id 3 in the query's own cell, id 2 exactly as far away on the left edge of column 1.
+
+    The query sits at (5/8, 3/8) ranges, id 3 is found first, and id 2 is
+    the cell width itself, the least float keyed 1 (see
+    test_edge_bounds_bracket_every_edge): that column's gap bound lies a
+    margin below the best dist2, and id 2 wins the tie on its id.
+    """
+    c = NeighborIndex(r).cell_m
+    qx, qy = r * 0.625, r * 0.375
+    return r, (qx, qy), 0, [(3, qx - (c - qx), qy, False, False, 10 * MIN),
+                            (2, c, qy, False, False, 10 * MIN)]
+
+
+def _tie_below_the_left_bound(r):
+    """The query on the edge of column 1, ids 3 and 2 one float step either side.
+
+    The left edge's bound lies past the query, so that gap counts as 0 and
+    column 0 is probed: id 2 wins the tie on its id. Squared as it stands,
+    the negative gap would exceed the best dist2 and skip id 2. At 2**-500 m
+    a step squared underflows, so the tie, the gap bound and the best dist2
+    are all 0: the skip must be strict.
+    """
+    c = NeighborIndex(r).cell_m
+    return r, (c, r / 4), 0, [(3, math.nextafter(c, math.inf), r / 4, False, False, 10 * MIN),
+                              (2, math.nextafter(c, -math.inf), r / 4, False, False, 10 * MIN)]
 
 
 @given(_thinned_grid())
-# Id 3, in the query's own cell, is found first, d = _CELL - 15 m to the left.
-# Id 2 sits exactly on the left edge of column 1, _CELL (see
-# test_edge_is_the_least_float_keyed_at_least_k), d to the right: that
-# column's edge bound equals the best dist2, and id 2 wins the tie on its id.
-@example(((15.0, 10.0), 0, [(3, 15.0 - (_CELL - 15.0), 10.0, False, False, 10 * MIN),
-                            (2, _CELL, 10.0, False, False, 10 * MIN)]))
+@example(_tie_across_an_edge(25.0))
+@example(_tie_across_an_edge(2.0**509))
+@example(_tie_below_the_left_bound(25.0))
+@example(_tie_below_the_left_bound(2.0**-500))
 # Id 2, the only one in range, shares a neighbour cell with id 1, out of
 # range: there is no candidate, so no skip, until that cell is probed.
-@example(((30.0, 10.0), 0, [(1, 2.0, 10.0, False, False, 10 * MIN),
-                            (2, 20.0, 10.0, False, False, 10 * MIN)]))
-@settings(max_examples=200)
+@example((25.0, (30.0, 10.0), 0, [(1, 2.0, 10.0, False, False, 10 * MIN),
+                                  (2, 20.0, 10.0, False, False, 10 * MIN)]))
+@settings(max_examples=300)
 def test_pruned_search_is_the_reference_first_server(case):
-    q, skip, people = case
+    r, q, skip, people = case
     world = dsc_world([client(cid, x, y, holder=True, uploading=busy, playback_start_ms=start)
-                       for cid, x, y, _gone, busy, start in people], now_ms=65 * MIN)
+                       for cid, x, y, _gone, busy, start in people], now_ms=65 * MIN, range_m=r)
     for cid, x, y, gone, *_ in people:
         if gone:
             world.index.remove(cid, (x, y))
@@ -896,6 +926,38 @@ def _in_range_chain(draw):
     return r, q, p, h
 
 
+def _edge_bounds(r, pos):
+    """(kx, left, right, ky, below, above): the keys of ``pos`` and the edge bounds ``_nearest`` uses.
+
+    Read from the search's own frame as it returns. A holder at ``pos`` is
+    the first candidate, so the search bounds the edges before its next key.
+    """
+    world = make_world([], range_m=r)
+    world.clients[2] = client(2, *pos, holder=True)
+    grid = NeighborIndex(r)
+    grid.add(2, pos)
+    seen = {}
+
+    def trace(frame, _event, _arg):
+        if frame.f_code is not caching._nearest.__code__:
+            return None
+
+        def on_return(frame, event, _arg):
+            if event == "return":
+                seen.update(frame.f_locals)
+            return on_return
+
+        return on_return
+
+    tracer = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        assert caching._nearest(world, grid, pos, 1, world.now, caching._free) == (2, True)
+    finally:
+        sys.settrace(tracer)
+    return (seen["cx"], seen["left"], seen["right"], seen["cy"], seen["below"], seen["above"])
+
+
 class TestNeighborIndex:
     def test_add_query_remove(self):
         idx = NeighborIndex(25.0)
@@ -913,20 +975,29 @@ class TestNeighborIndex:
         idx.add(1, (-10.0, -10.0))
         assert 1 in set(ids_near(idx, (-1.0, -1.0)))
 
-    @pytest.mark.parametrize("r", [2.0**-500, 25.0, 2.0**509], ids=["2**-500", "25", "2**509"])
-    def test_edge_is_the_least_float_keyed_at_least_k(self, r):
+    @pytest.mark.parametrize("r", _RANGES, ids=["2**-500", "25", "2**509"])
+    def test_edge_bounds_bracket_every_edge(self, r):
         # Keys 0, +-1 and +-2**j up to 2**52, the validated extreme, at the
-        # least, the default and the largest range. At 2**509 m about 2**62
-        # floats just below 0 key to 0: only a bisection finds the least fast.
-        idx = NeighborIndex(r)
-        c = idx.cell_m
+        # least, the default and the largest range. A search from a point of
+        # key k bounds e[k] from above and e[k + 1] from below, e[k] being the
+        # least float keyed at least k. U >= e[k] when U keys at least k, and
+        # L <= e[k] when the float below L keys below k; at 2**509 m about
+        # 2**62 floats just below 0 key to 0.
+        c = NeighborIndex(r).cell_m
         keys = [0, 1, -1, *(s * 2**j for j in range(1, 53) for s in (1, -1))]
+        uppers, lowers = set(), set()
         for k in keys:
-            edge = idx._edges[k]
-            assert math.floor(edge / c) >= k > math.floor(math.nextafter(edge, -math.inf) / c)
-        assert sorted(idx._edges) == sorted(keys)
-        # The default cell width is itself an edge, as the pruned-search example assumes.
-        assert NeighborIndex(25.0)._edges[1] == _CELL
+            for v in ((k - 0.5) * c, k * c, math.nextafter(k * c, -math.inf), (k + 0.5) * c):
+                kx, left, right, ky, below, above = _edge_bounds(r, (v, -v))
+                uppers |= {(kx, left), (ky, below)}
+                lowers |= {(kx + 1, right), (ky + 1, above)}
+        for k, u in uppers:
+            assert math.floor(u / c) >= k, (k, u)
+        for k, lo in lowers:
+            assert math.floor(math.nextafter(lo, -math.inf) / c) < k, (k, lo)
+        assert {k for k, _u in uppers} >= set(keys) and {k for k, _lo in lowers} >= set(keys)
+        # The cell width is itself an edge, as the pruned-search ties assume.
+        assert math.floor(c / c) == 1 > math.floor(math.nextafter(c, -math.inf) / c)
 
     def test_remove_missing_raises(self):
         idx = NeighborIndex(25.0)

@@ -535,10 +535,10 @@ def _grids(sim):
 
 
 def _run_state(sim):
-    """Everything of a run that a strategy could write to, as plain values, but the edge memos."""
+    """Everything of a run that a strategy could write to, as plain values."""
     return (
         {cid: (c.uploading, c.holder) for cid, c in sim.clients.items()},
-        {vid: {key: list(cell) for key, cell in grid._cells.items()}
+        {vid: (sorted(vars(grid)), grid.cell_m, {key: list(cell) for key, cell in grid._cells.items()})
          for vid, grid in _grids(sim).items()},
         [(list(pool._ends), list(pool._pending)) for pool in sim.pools.values()],
         [(e.request_count, set(e.client_ids)) for e in sim.lps_table.entries],
@@ -629,7 +629,7 @@ def test_step_breaks_time_ties_between_the_two_heaps_by_seq():
 @pytest.mark.parametrize("scheme", list(SchemeId))
 def test_strategies_only_read_the_run(scheme):
     # The engine hands a strategy the live run; deciding a late arrival
-    # must leave every flag, grid, pool, proxy count and the clock as it was.
+    # writes nothing: every flag, grid, pool, proxy count and the clock stay as they were.
     sim = _step_until(_started(_BUSY_CFG, scheme),
                       lambda s: _busy(s) and not classify_arrival(s.segment_ms, s.now).on_time)
     newcomer = ClientRecord(id=sim.arrived + 1, arrival_ms=sim.now, position=(0.0, 0.0), video_id=1)
@@ -637,18 +637,8 @@ def test_strategies_only_read_the_run(scheme):
     if sim.index is not None:
         sim.index.add(newcomer.id, newcomer.position)
     before = _run_state(sim)
-    memos = {vid: dict(grid._edges) for vid, grid in _grids(sim).items()}
     out = caching.acquire_first_segment(scheme, newcomer, sim, classify_arrival(sim.segment_ms, sim.now))
     assert _run_state(sim) == before
-    # A search may only add to a grid's memo of cell edges, and only the least
-    # float keyed at least k under each k.
-    for vid, grid in _grids(sim).items():
-        assert memos[vid].items() <= grid._edges.items()
-        for k, edge in grid._edges.items():
-            below = math.nextafter(edge, -math.inf)
-            assert math.floor(edge / grid.cell_m) >= k > math.floor(below / grid.cell_m)
-    if scheme in (SchemeId.ALL_CACHE, SchemeId.RANDOM_CACHE, SchemeId.DSC_CACHE):
-        assert sim.holders[1]._edges
     assert out == caching.acquire_first_segment(scheme, newcomer, sim,
                                                 classify_arrival(sim.segment_ms, sim.now))
 

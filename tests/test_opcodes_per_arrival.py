@@ -20,9 +20,9 @@ _CFG = SimConfig(arrival_rate_per_min=10.0, horizon_minutes=20.0, warmup_minutes
 # Python calls of each ledger run (322 arrivals). They are the same on CPython 3.10.13, 3.11.7,
 # 3.12.1 and 3.13.0, so, unlike the bytecodes, they are pinned once for every version.
 CALLS = {
-    1: {"no-cache": 5095, "por-cache": 5739, "proxy-cache": 7349, "all-cache": 7465,
-        "random-cache": 6684, "dsc-cache": 8337},
-    7: {"all-cache": 7909, "random-cache": 7139, "dsc-cache": 9119},
+    1: {"no-cache": 5095, "por-cache": 5739, "proxy-cache": 7349, "all-cache": 7331,
+        "random-cache": 6550, "dsc-cache": 8088},
+    7: {"all-cache": 7284, "random-cache": 6593, "dsc-cache": 8573},
 }
 
 
